@@ -1,12 +1,13 @@
-"""Instrumented, budgeted runners for the four search heuristics: RLS,
-(1+1) EA, (mu+lambda) EA and (mu,lambda) EA.
+"""Instrumented, budgeted runs of RLS, the (1+1) EA, the (mu+lambda) EA
+and the (mu,lambda) EA, all started through :func:`run_algorithm`.
 
 Runtime is counted in fitness evaluations including the initial
-population, so the initial evaluation can already hit the optimum.  On
-unitation functions the runners simulate on the zeros-count level
-directly (the sufficient statistic), which is distribution-equivalent to
-bit-level simulation and much faster; arbitrary objectives fall back to
-bit-level simulation.
+population, so the initial evaluation can already hit the optimum.
+Population EAs share one generation loop over a representation of the
+population: zeros-count levels on unitation functions (the sufficient
+statistic, distribution-equivalent to bit-level simulation and much
+faster), or a mu x n bit array for arbitrary objectives.  RLS and the
+(1+1) EA keep single-individual fast paths on both representations.
 """
 
 from __future__ import annotations
@@ -94,35 +95,30 @@ class RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# Single-individual runners, level fast path (unitation functions)
+# Single-individual fast paths (RLS and the (1+1) EA)
 
 
 def _run_single_level(
     spec: UnitationSpec,
-    kind: AlgorithmKind,
-    mutation: MutationParams,
+    cfg: AlgorithmConfig,
     budget: Budget,
     rng: np.random.Generator,
     start_zeros: int | None,
-    target_fitness: float | None,
-    record_transitions: bool,
+    target: float,
+    trans: np.ndarray | None,
 ) -> RunTrace:
     n = spec.n
     table = spec.value_table
-    target = spec.optimum_value if target_fitness is None else target_fitness
     max_evals = budget.max_evaluations
 
     z = int(rng.binomial(n, 0.5)) if start_zeros is None else int(start_zeros)
-    if not 0 <= z <= n:
-        raise DomainError("forced start zeros-count out of range")
     evals = 1
     best = float(table[z])
     history = [(1, best)]
     hit = 1 if best >= target else None
-    trans = np.zeros((n + 1, n + 1), dtype=np.int64) if record_transitions else None
 
-    is_rls = kind is AlgorithmKind.RLS
-    p = mutation.rate
+    is_rls = cfg.kind is AlgorithmKind.RLS
+    p = cfg.mutation.rate
     while hit is None and evals < max_evals:
         # Draw a batch of offspring proposals for the current level; the
         # remainder of a batch is discarded whenever the level changes.
@@ -158,33 +154,21 @@ def _run_single_level(
         if hit is not None or evals >= max_evals:
             break
 
-    return RunTrace(
-        evaluations=evals,
-        best_fitness_history=history,
-        hit_time=hit,
-        censored=hit is None,
-        level_transitions=trans,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Single-individual runners, bit-level path (generic objectives)
+    return RunTrace(evals, history, hit, hit is None, trans)
 
 
 def _run_single_bits(
     f: FitnessFunction,
-    kind: AlgorithmKind,
-    mutation: MutationParams,
+    cfg: AlgorithmConfig,
     budget: Budget,
     rng: np.random.Generator,
     start_zeros: int | None,
-    target_fitness: float | None,
+    target: float,
 ) -> RunTrace:
     n = f.n
-    target = f.optimum_value if target_fitness is None else target_fitness
     max_evals = budget.max_evaluations
-    p = mutation.rate
-    is_rls = kind is AlgorithmKind.RLS
+    p = cfg.mutation.rate
+    is_rls = cfg.kind is AlgorithmKind.RLS
 
     if start_zeros is None:
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -227,7 +211,49 @@ def _run_single_bits(
 
 
 # ---------------------------------------------------------------------------
-# Population runners (unitation fast path + generic fallback)
+# Population EAs: one generation loop over two representations
+
+
+class _Levels:
+    """A population of zeros-counts of a unitation function."""
+
+    def __init__(self, spec: UnitationSpec, rate: float):
+        self.n, self.table, self.rate = spec.n, spec.value_table, rate
+
+    def init(self, rng: np.random.Generator, size: int, start_zeros: int | None):
+        if start_zeros is None:
+            return rng.binomial(self.n, 0.5, size=size)
+        return np.full(size, int(start_zeros))
+
+    def mutate(self, parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # Standard bit mutation flips Bin(z, p) zero-bits and Bin(n - z, p) one-bits.
+        d0 = rng.binomial(parents, self.rate)
+        d1 = rng.binomial(self.n - parents, self.rate)
+        return parents - d0 + d1
+
+    def fitness(self, pop: np.ndarray) -> np.ndarray:
+        return self.table[pop]
+
+
+class _Bits:
+    """A population of bitstrings, one row each, of a generic objective."""
+
+    def __init__(self, f: FitnessFunction, rate: float):
+        self.n, self.fn, self.rate = f.n, f.fn, rate
+
+    def init(self, rng: np.random.Generator, size: int, start_zeros: int | None):
+        if start_zeros is None:
+            return rng.integers(0, 2, size=(size, self.n), dtype=np.uint8)
+        pop = np.ones((size, self.n), dtype=np.uint8)
+        for row in pop:
+            row[rng.choice(self.n, size=int(start_zeros), replace=False)] = 0
+        return pop
+
+    def mutate(self, parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return parents ^ (rng.random(parents.shape) < self.rate).astype(np.uint8)
+
+    def fitness(self, pop: np.ndarray) -> np.ndarray:
+        return np.array([float(self.fn(row)) for row in pop])
 
 
 def comma_selection_order(fitness: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -238,122 +264,37 @@ def comma_selection_order(fitness: np.ndarray, rng: np.random.Generator) -> np.n
     return perm[np.argsort(-fitness[perm], kind="stable")]
 
 
-def _run_population_level(
-    spec: UnitationSpec,
+def _run_population(
+    rep: _Levels | _Bits,
     cfg: AlgorithmConfig,
     budget: Budget,
     rng: np.random.Generator,
     start_zeros: int | None,
-    target_fitness: float | None,
-    record_transitions: bool,
+    target: float,
+    trans: np.ndarray | None,
 ) -> RunTrace:
-    n = spec.n
-    table = spec.value_table
-    target = spec.optimum_value if target_fitness is None else target_fitness
+    """One run of a (mu+lambda) or (mu,lambda) EA; ``rep`` holds what
+    depends on how individuals are represented."""
     max_evals = budget.max_evaluations
-    p = cfg.mutation.rate
     mu, lam = cfg.mu, cfg.lam
     comma = cfg.kind is AlgorithmKind.MU_COMMA_LAMBDA_EA
     pop_size = cfg.initial_population
     if max_evals < pop_size:
         raise DomainError("budget smaller than the initial population")
 
-    if start_zeros is None:
-        pop_z = rng.binomial(n, 0.5, size=pop_size)
-    else:
-        pop_z = np.full(pop_size, int(start_zeros))
-    fit = table[pop_z]
-    evals = pop_size
-    best = float(fit.max())
-    history = [(int(np.argmax(fit >= best)) + 1, best)]
-    hit = int(np.argmax(fit >= target)) + 1 if fit.max() >= target else None
-    trans = np.zeros((n + 1, n + 1), dtype=np.int64) if record_transitions else None
-    best_z = int(pop_z[np.argmax(fit)])
-
-    while hit is None and evals + lam <= max_evals:
-        if comma:
-            order = comma_selection_order(fit, rng)
-            elite = pop_z[order[:mu]]
-            parents = elite[rng.integers(0, mu, size=lam)]
-        else:
-            parents = pop_z[rng.integers(0, mu, size=lam)]
-        d0 = rng.binomial(parents, p)
-        d1 = rng.binomial(n - parents, p)
-        off = parents - d0 + d1
-        off_fit = table[off]
-        gen_best = float(off_fit.max())
-        if gen_best >= target:
-            hit = evals + int(np.argmax(off_fit >= target)) + 1
-        if gen_best > best:
-            history.append((evals + int(np.argmax(off_fit >= gen_best)) + 1, gen_best))
-            best = gen_best
-        evals += lam
-
-        if comma:
-            pop_z, fit = off, off_fit
-        else:
-            combined = np.concatenate([off, pop_z])  # offspring first on ties
-            cfit = table[combined]
-            if cfg.tie_break is TieBreak.UNIFORM_RANDOM:
-                order = comma_selection_order(cfit, rng)
-            else:
-                order = np.argsort(-cfit, kind="stable")
-            keep = order[:mu]
-            pop_z, fit = combined[keep], cfit[keep]
-
-        if trans is not None:
-            new_best_z = int(pop_z[np.argmax(fit)])
-            trans[best_z, new_best_z] += 1
-            best_z = new_best_z
-
-    return RunTrace(
-        evaluations=evals,
-        best_fitness_history=history,
-        hit_time=hit,
-        censored=hit is None,
-        level_transitions=trans,
-    )
-
-
-def _run_population_bits(
-    f: FitnessFunction,
-    cfg: AlgorithmConfig,
-    budget: Budget,
-    rng: np.random.Generator,
-    start_zeros: int | None,
-    target_fitness: float | None,
-) -> RunTrace:
-    n = f.n
-    target = f.optimum_value if target_fitness is None else target_fitness
-    max_evals = budget.max_evaluations
-    p = cfg.mutation.rate
-    mu, lam = cfg.mu, cfg.lam
-    comma = cfg.kind is AlgorithmKind.MU_COMMA_LAMBDA_EA
-    pop_size = cfg.initial_population
-    if max_evals < pop_size:
-        raise DomainError("budget smaller than the initial population")
-
-    if start_zeros is None:
-        pop = rng.integers(0, 2, size=(pop_size, n), dtype=np.uint8)
-    else:
-        pop = np.ones((pop_size, n), dtype=np.uint8)
-        for row in pop:
-            row[rng.choice(n, size=int(start_zeros), replace=False)] = 0
-    fit = np.array([float(f.fn(row)) for row in pop])
+    pop = rep.init(rng, pop_size, start_zeros)
+    fit = rep.fitness(pop)
     evals = pop_size
     best = float(fit.max())
     history = [(int(np.argmax(fit >= best)) + 1, best)]
     hit = int(np.argmax(fit >= target)) + 1 if best >= target else None
+    # Transitions are counted between the levels of successive best individuals.
+    best_z = int(pop[np.argmax(fit)]) if trans is not None else None
 
     while hit is None and evals + lam <= max_evals:
-        if comma:
-            order = comma_selection_order(fit, rng)
-            parent_rows = pop[order[:mu]][rng.integers(0, mu, size=lam)]
-        else:
-            parent_rows = pop[rng.integers(0, mu, size=lam)]
-        masks = (rng.random((lam, n)) < p).astype(np.uint8)
-        off = parent_rows ^ masks
-        off_fit = np.array([float(f.fn(row)) for row in off])
+        elite = pop[comma_selection_order(fit, rng)[:mu]] if comma else pop
+        off = rep.mutate(elite[rng.integers(0, mu, size=lam)], rng)
+        off_fit = rep.fitness(off)
         gen_best = float(off_fit.max())
         if gen_best >= target:
             hit = evals + int(np.argmax(off_fit >= target)) + 1
@@ -365,7 +306,7 @@ def _run_population_bits(
         if comma:
             pop, fit = off, off_fit
         else:
-            combined = np.concatenate([off, pop])
+            combined = np.concatenate([off, pop])  # offspring first on ties
             cfit = np.concatenate([off_fit, fit])
             if cfg.tie_break is TieBreak.UNIFORM_RANDOM:
                 order = comma_selection_order(cfit, rng)
@@ -374,11 +315,16 @@ def _run_population_bits(
             keep = order[:mu]
             pop, fit = combined[keep], cfit[keep]
 
-    return RunTrace(evals, history, hit, hit is None)
+        if trans is not None:
+            new_best_z = int(pop[np.argmax(fit)])
+            trans[best_z, new_best_z] += 1
+            best_z = new_best_z
+
+    return RunTrace(evals, history, hit, hit is None, trans)
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# Public entry point
 
 
 def run_algorithm(
@@ -394,51 +340,25 @@ def run_algorithm(
 
     ``start_zeros`` forces the initial zeros-count (block-local
     experiments); ``target_fitness`` redefines success as reaching the
-    given fitness instead of the optimum.
+    given fitness instead of the optimum; ``record_transitions`` counts
+    level transitions, on unitation functions only.
     """
-    single = cfg.kind in (AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA)
-    if isinstance(f, UnitationSpec):
-        if cfg.mutation.n != f.n:
-            raise DomainError("mutation parameters sized for a different n")
-        if single:
-            return _run_single_level(
-                f, cfg.kind, cfg.mutation, budget, rng, start_zeros,
-                target_fitness, record_transitions,
-            )
-        return _run_population_level(
-            f, cfg, budget, rng, start_zeros, target_fitness, record_transitions
-        )
-    if record_transitions:
+    levels = isinstance(f, UnitationSpec)
+    if record_transitions and not levels:
         raise DomainError("level transitions are recorded for unitation functions only")
     if cfg.mutation.n != f.n:
         raise DomainError("mutation parameters sized for a different n")
-    if single:
-        return _run_single_bits(
-            f, cfg.kind, cfg.mutation, budget, rng, start_zeros, target_fitness
-        )
-    return _run_population_bits(f, cfg, budget, rng, start_zeros, target_fitness)
+    if start_zeros is not None and not 0 <= start_zeros <= f.n:
+        raise DomainError("forced start zeros-count out of range")
+    target = f.optimum_value if target_fitness is None else target_fitness
+    trans = np.zeros((f.n + 1, f.n + 1), dtype=np.int64) if record_transitions else None
 
-
-def _checked(cfg: AlgorithmConfig, kind: AlgorithmKind) -> AlgorithmConfig:
-    if cfg.kind is not kind:
-        raise DomainError(f"config kind {cfg.kind.value} does not match runner")
-    return cfg
-
-
-def run_rls(f, cfg, budget, rng, **kw) -> RunTrace:
-    return run_algorithm(f, _checked(cfg, AlgorithmKind.RLS), budget, rng, **kw)
-
-
-def run_one_plus_one_ea(f, cfg, budget, rng, **kw) -> RunTrace:
-    return run_algorithm(f, _checked(cfg, AlgorithmKind.ONE_PLUS_ONE_EA), budget, rng, **kw)
-
-
-def run_mu_plus_lambda_ea(f, cfg, budget, rng, **kw) -> RunTrace:
-    return run_algorithm(f, _checked(cfg, AlgorithmKind.MU_PLUS_LAMBDA_EA), budget, rng, **kw)
-
-
-def run_mu_comma_lambda_ea(f, cfg, budget, rng, **kw) -> RunTrace:
-    return run_algorithm(f, _checked(cfg, AlgorithmKind.MU_COMMA_LAMBDA_EA), budget, rng, **kw)
+    if cfg.kind in (AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA):
+        if levels:
+            return _run_single_level(f, cfg, budget, rng, start_zeros, target, trans)
+        return _run_single_bits(f, cfg, budget, rng, start_zeros, target)
+    rep = _Levels(f, cfg.mutation.rate) if levels else _Bits(f, cfg.mutation.rate)
+    return _run_population(rep, cfg, budget, rng, start_zeros, target, trans)
 
 
 def rls_config(n: int) -> AlgorithmConfig:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -154,29 +155,61 @@ def build_experiment(cfg: dict, n_override: int | None = None) -> empirics.Exper
 # Oracle helpers
 
 
-def _oracle_applicable(exp: empirics.Experiment) -> bool:
-    return isinstance(exp.function, UnitationSpec) and exp.algorithm.kind in (
-        AlgorithmKind.RLS,
-        AlgorithmKind.ONE_PLUS_ONE_EA,
-    )
+@dataclasses.dataclass(frozen=True)
+class BoundContext:
+    """One point of an experiment: everything the oracle and a bound
+    evaluator may draw on besides the bound's own params."""
+
+    function_cfg: dict
+    experiment: empirics.Experiment
+
+    @property
+    def n(self) -> int:
+        return self.experiment.function.n
+
+    @property
+    def algorithm(self) -> AlgorithmConfig:
+        return self.experiment.algorithm
+
+    @property
+    def has_chain(self) -> bool:
+        """Whether the algorithm's state is a zeros-count level: RLS or the
+        (1+1) EA on a unitation function."""
+        return isinstance(self.experiment.function, UnitationSpec) and (
+            self.algorithm.kind in (AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA)
+        )
+
+    @functools.cached_property
+    def chain(self) -> oracle.LevelChain:
+        """The point's exact level chain, built on first use and shared by
+        the oracle and the exact fitness-level bounds."""
+        if not self.has_chain:
+            raise ConfigError("the exact level chain needs RLS or the (1+1) EA "
+                              "on a unitation function")
+        exp = self.experiment
+        return oracle.build_level_chain(
+            exp.function, exp.algorithm.kind.value, exp.algorithm.mutation
+        )
+
+    @property
+    def start(self) -> np.ndarray:
+        """The start distribution over the chain's levels."""
+        zeros = self.experiment.start.fixed_zeros
+        if zeros is None:
+            return oracle.binomial_start(self.n)
+        return oracle.point_start(self.n, zeros)
 
 
-def _oracle_start(exp: empirics.Experiment) -> np.ndarray:
-    n = exp.function.n
-    if exp.start.fixed_zeros is None:
-        return oracle.binomial_start(n)
-    return oracle.point_start(n, exp.start.fixed_zeros)
-
-
-def compute_oracle(exp: empirics.Experiment) -> dict | None:
-    """Exact expected runtime (in evaluations) when the level chain applies."""
-    if not _oracle_applicable(exp):
+def compute_oracle(ctx: BoundContext) -> dict | None:
+    """Exact expected runtime (in evaluations) when the level chain
+    applies: the time to reach ``target_fitness`` if the experiment sets
+    one, else the time to the optimum."""
+    if not ctx.has_chain:
         return None
-    chain = oracle.build_level_chain(
-        exp.function, exp.algorithm.kind.value, exp.algorithm.mutation
-    )
-    start = _oracle_start(exp)
-    gens = oracle.exact_expected_hitting_time(chain, start)
+    chain = ctx.chain
+    target_fitness = ctx.experiment.target_fitness
+    target = None if target_fitness is None else chain.value_table >= target_fitness
+    gens = oracle.exact_expected_hitting_time(chain, ctx.start, target)
     return {
         "kind": chain.kind,
         "expected_generations": gens,
@@ -186,16 +219,6 @@ def compute_oracle(exp: empirics.Experiment) -> dict | None:
 
 # ---------------------------------------------------------------------------
 # Bound registry
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundContext:
-    """Everything a bound evaluator may draw on besides its own params."""
-
-    n: int
-    function_cfg: dict
-    algorithm: AlgorithmConfig
-    experiment: empirics.Experiment
 
 
 def _mk(ctx: BoundContext, params: dict, key: str, default=None):
@@ -296,15 +319,12 @@ def _eval_plateau_upper(ctx, params):
 
 
 def _afl_exact_levels(ctx):
-    exp = ctx.experiment
-    if not _oracle_applicable(exp):
-        raise ConfigError("exact fitness-level bounds need RLS or the (1+1) EA "
-                          "on a unitation function")
-    chain = oracle.build_level_chain(
-        exp.function, exp.algorithm.kind.value, exp.algorithm.mutation
-    )
+    chain = ctx.chain
+    if ctx.experiment.target_fitness is not None:
+        raise core.DomainError("the exact fitness-level bounds bound the time to the "
+                               "optimum, not to target_fitness")
     data = oracle.fitness_level_data(chain)
-    start = _oracle_start(exp)
+    start = ctx.start
     # Initial-level mass over the non-top fitness levels.
     u = np.array([sum(start[z] for z in level) for level in data.levels[:-1]])
     return data, u
@@ -407,15 +427,9 @@ BOUND_REGISTRY = {
 }
 
 
-def evaluate_bounds(cfg: dict, exp: empirics.Experiment) -> list[BoundReport]:
-    ctx = BoundContext(
-        n=exp.function.n,
-        function_cfg=cfg["function"],
-        algorithm=exp.algorithm,
-        experiment=exp,
-    )
+def evaluate_bounds(ctx: BoundContext, entries: list[dict]) -> list[BoundReport]:
     reports = []
-    for entry in cfg.get("bounds", []):
+    for entry in entries:
         bound_id = entry["id"]
         if bound_id not in BOUND_REGISTRY:
             known = ", ".join(sorted(BOUND_REGISTRY))
@@ -550,18 +564,7 @@ def _csv_num(v) -> str:
 def _resolve_workers(threads: int) -> int:
     if threads < 0:
         raise ConfigError("--threads must be non-negative")
-    if threads > 0:
-        return threads
-    env = os.environ.get("EA_LAB_THREADS", "")
-    if env.strip():
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"EA_LAB_THREADS={env!r} is not an integer") from exc
-        if value >= 1:
-            return value
-        raise ConfigError("EA_LAB_THREADS must be >= 1")
-    return os.cpu_count() or 1
+    return threads or os.cpu_count() or 1
 
 
 def _prepare(args) -> tuple[dict, int]:
@@ -573,28 +576,30 @@ def _prepare(args) -> tuple[dict, int]:
     return cfg, workers
 
 
-def cmd_run(args) -> int:
-    cfg, workers = _prepare(args)
-    exp = build_experiment(cfg)
+def _run_point(cfg: dict, exp: empirics.Experiment, workers: int):
+    """The pipeline ``run`` and ``sweep`` share for one experiment: run
+    the batch, then the oracle, then the bounds, then compare.  Returns
+    the batch, the comparison rows and the point's JSON record."""
     batch = empirics.run_batch(exp, workers=workers)
-
-    want_oracle = cfg.get(
-        "oracle", _oracle_applicable(exp) and exp.function.n <= _ORACLE_AUTO_LIMIT
-    )
-    oracle_info = compute_oracle(exp) if want_oracle else None
+    ctx = BoundContext(cfg["function"], exp)
+    want_oracle = cfg.get("oracle", ctx.has_chain and ctx.n <= _ORACLE_AUTO_LIMIT)
+    oracle_info = compute_oracle(ctx) if want_oracle else None
     oracle_value = oracle_info["expected_evaluations"] if oracle_info else None
-
-    reports = evaluate_bounds(cfg, exp)
+    reports = evaluate_bounds(ctx, cfg.get("bounds", []))
     rows = empirics.compare(batch.summary, reports, oracle_value)
-
-    summary = {
-        "schema_version": cfg["schema_version"],
-        "config": cfg,
+    record = {
         "runtime": summary_dict(batch.summary),
         "oracle": oracle_info,
         "bounds": [report_dict(r) for r in reports],
         "comparison": [row_dict(r) for r in rows],
     }
+    return batch, rows, record
+
+
+def cmd_run(args) -> int:
+    cfg, workers = _prepare(args)
+    batch, rows, record = _run_point(cfg, build_experiment(cfg), workers)
+    summary = {"schema_version": cfg["schema_version"], "config": cfg, **record}
     write_json_atomic(os.path.join(args.out, "summary.json"), summary)
     lines = [empirics.SAMPLE_HEADER] + [r.to_line() for r in batch.records]
     write_atomic(os.path.join(args.out, "samples.csv"), "\n".join(lines) + "\n")
@@ -623,28 +628,16 @@ def cmd_sweep(args) -> int:
     all_rows: list[empirics.ComparisonRow] = []
 
     for n in values:
-        exp = build_experiment(cfg, n_override=int(n))
-        batch = empirics.run_batch(exp, workers=workers)
-        want_oracle = cfg.get(
-            "oracle", _oracle_applicable(exp) and exp.function.n <= _ORACLE_AUTO_LIMIT
+        batch, rows, record = _run_point(
+            cfg, build_experiment(cfg, n_override=int(n)), workers
         )
-        oracle_info = compute_oracle(exp) if want_oracle else None
-        oracle_value = oracle_info["expected_evaluations"] if oracle_info else None
-        reports = evaluate_bounds(cfg, exp)
-        rows = empirics.compare(batch.summary, reports, oracle_value)
         all_rows.extend(rows)
-
+        oracle_value = rows[0].oracle  # the mean_hit_time row
         cells = [str(n), _csv_num(batch.summary.mean), _csv_num(batch.summary.stderr),
                  _csv_num(oracle_value)]
-        cells += [_csv_num(rep.bound_value) for rep in reports]
+        cells += [_csv_num(b["bound_value"]) for b in record["bounds"]]
         curve_lines.append(",".join(cells))
-        points.append({
-            "n": int(n),
-            "runtime": summary_dict(batch.summary),
-            "oracle": oracle_info,
-            "bounds": [report_dict(r) for r in reports],
-            "comparison": [row_dict(r) for r in rows],
-        })
+        points.append({"n": int(n), **record})
         if not args.quiet:
             mean = _fmt(batch.summary.mean)
             print(f"n={n}: mean={mean} oracle={_fmt(oracle_value)}")
@@ -664,7 +657,7 @@ def cmd_bounds(args) -> int:
     # Build the experiment without running it: bound evaluators may need
     # the oracle chain, which only depends on the configuration.
     exp = build_experiment(cfg)
-    reports = evaluate_bounds(cfg, exp)
+    reports = evaluate_bounds(BoundContext(cfg["function"], exp), cfg.get("bounds", []))
     write_json_atomic(
         os.path.join(args.out, "bounds.json"),
         {
@@ -704,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="ea-lab-out", help="output directory")
         p.add_argument(
             "--threads", type=int, default=0,
-            help="worker processes (0 = EA_LAB_THREADS or CPU count)",
+            help="worker processes (0 = one per CPU)",
         )
         p.add_argument(
             "--seed", type=int, default=None,

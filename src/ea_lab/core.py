@@ -73,11 +73,12 @@ class Bitstring:
     __slots__ = ("bits",)
 
     def __init__(self, bits: Sequence[int] | np.ndarray):
-        arr = np.array(bits, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(bits)
+        if raw.ndim != 1 or raw.size == 0:
             raise DimensionError("bits must be a non-empty 1-d sequence")
-        if np.any(arr > 1):
+        if not np.all((raw == 0) | (raw == 1)):
             raise ValueError("bits must be 0/1 valued")
+        arr = raw.astype(np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -420,9 +421,12 @@ def linear_function(weights: Sequence[float]) -> FitnessFunction:
     if w.ndim != 1 or w.size == 0 or np.any(w <= 0):
         raise SpecError("weights must be a non-empty positive vector")
     w.setflags(write=False)
+    fn = _LinearEval(w)
+    # The optimum is the value the runs compute at all-ones; w.sum() can
+    # differ from it by an ulp, and then no run would ever reach it.
     return FitnessFunction(
         n=int(w.size),
-        fn=_LinearEval(w),
-        optimum_value=float(w.sum()),
+        fn=fn,
+        optimum_value=fn(np.ones(w.size, dtype=np.uint8)),
         name="linear",
     )

@@ -162,23 +162,32 @@ def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarr
     return out
 
 
-def exact_expected_hitting_time(chain: LevelChain, start: np.ndarray) -> float:
-    """Start-weighted expected number of generations to absorption.
+def _checked_start(chain: LevelChain, start) -> np.ndarray:
+    start = np.asarray(start, dtype=float)
+    if start.shape != (chain.n + 1,) or start.min() < 0 or abs(start.sum() - 1.0) > 1e-9:
+        raise DomainError("start must be a distribution over levels 0..n")
+    return start
+
+
+def exact_expected_hitting_time(
+    chain: LevelChain, start: np.ndarray, target: np.ndarray | None = None
+) -> float:
+    """Start-weighted expected number of generations to absorption, or to
+    the first visit of a level in ``target`` (a boolean mask) if given.
 
     Add 1 for the initial evaluation when converting to the evaluation
     count of a single-individual algorithm.
     """
-    start = np.asarray(start, dtype=float)
-    if start.shape != (chain.n + 1,) or start.min() < 0 or abs(start.sum() - 1.0) > 1e-9:
-        raise DomainError("start must be a distribution over levels 0..n")
-    return float(np.dot(start, expected_hitting_times(chain)))
+    start = _checked_start(chain, start)
+    mask = chain.absorbing if target is None else target
+    return float(np.dot(start, expected_hitting_times_to(chain, mask)))
 
 
 def exact_success_probability(chain: LevelChain, start: np.ndarray, t: int) -> float:
     """Probability that the optimum has been reached within ``t`` generations."""
     if t < 0:
         raise DomainError("t must be non-negative")
-    v = np.asarray(start, dtype=float).copy()
+    v = _checked_start(chain, start)
     for _ in range(t):
         remaining = float(v[~chain.absorbing].sum())
         if remaining < 1e-300:

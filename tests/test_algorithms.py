@@ -1,5 +1,7 @@
 """Tests for the instrumented algorithm runners."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,6 @@ from ea_lab.algorithms import (
     one_plus_one_config,
     rls_config,
     run_algorithm,
-    run_mu_comma_lambda_ea,
-    run_mu_plus_lambda_ea,
-    run_one_plus_one_ea,
-    run_rls,
 )
 from ea_lab.core import (
     DomainError,
@@ -90,14 +88,14 @@ def test_same_seed_same_trace():
 
 
 def test_rls_solves_onemax():
-    trace = run_rls(onemax(30), rls_config(30), Budget(100_000), _rng(1))
+    trace = run_algorithm(onemax(30), rls_config(30), Budget(100_000), _rng(1))
     assert trace.hit_time is not None
     assert not trace.censored
     assert trace.best_fitness == 30.0
 
 
 def test_hit_time_absent_iff_censored():
-    trace = run_one_plus_one_ea(
+    trace = run_algorithm(
         needle(30), one_plus_one_config(30), Budget(200), _rng(2)
     )
     assert trace.censored and trace.hit_time is None
@@ -127,7 +125,7 @@ def test_target_fitness_redefines_success():
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_elitist_history_is_increasing(seed):
-    trace = run_one_plus_one_ea(
+    trace = run_algorithm(
         onemax(15), one_plus_one_config(15), Budget(5_000), _rng(seed)
     )
     fits = [f for _, f in trace.best_fitness_history]
@@ -136,9 +134,23 @@ def test_elitist_history_is_increasing(seed):
     assert evals == sorted(evals)
 
 
-def test_runner_kind_mismatch_rejected():
-    with pytest.raises(DomainError):
-        run_rls(onemax(10), one_plus_one_config(10), Budget(100), _rng(0))
+def test_forced_start_out_of_range_rejected():
+    plus = AlgorithmConfig(
+        AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(10), mu=2, lam=2
+    )
+    for cfg in (one_plus_one_config(10), plus):
+        with pytest.raises(DomainError):
+            run_algorithm(onemax(10), cfg, Budget(100), _rng(0), start_zeros=11)
+
+
+def test_linear_optimum_is_reached_from_all_ones():
+    # Real-valued weights whose sum differs from np.dot(w, ones) by an ulp.
+    rng = random.Random(8)
+    f = linear_function([rng.uniform(1, 10) for _ in range(100)])
+    trace = run_algorithm(
+        f, one_plus_one_config(100), Budget(10), _rng(0), start_zeros=0
+    )
+    assert trace.hit_time == 1
 
 
 def test_mutation_size_mismatch_rejected():
@@ -150,14 +162,30 @@ def test_mutation_size_mismatch_rejected():
 # Level path vs bit path agree in distribution
 
 
-def test_level_and_bit_paths_agree_on_mean():
-    """The zeros-count fast path and the generic bit-level path simulate
-    the same process; compare their mean hit times on equivalent
-    objectives."""
+def _population_config(kind, mu, lam, tie_break=TieBreak.PREFER_OFFSPRING):
+    return AlgorithmConfig(kind, MutationParams(10), mu=mu, lam=lam, tie_break=tie_break)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        one_plus_one_config(10),
+        _population_config(AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 6),
+        _population_config(
+            AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 6, TieBreak.UNIFORM_RANDOM
+        ),
+        _population_config(AlgorithmKind.MU_COMMA_LAMBDA_EA, 2, 12),
+    ],
+    ids=["OnePlusOneEA", "MuPlusLambdaEA-PreferOffspring",
+         "MuPlusLambdaEA-UniformRandom", "MuCommaLambdaEA"],
+)
+def test_level_and_bit_paths_agree_on_mean(cfg):
+    """The zeros-count representation and the generic bit-level one
+    simulate the same process; compare their mean hit times on
+    equivalent objectives."""
     n, runs = 10, 800
     spec = onemax(n)
     flat = linear_function([1.0] * n)  # same function, generic representation
-    cfg = one_plus_one_config(n)
     level = [
         run_algorithm(spec, cfg, Budget(10_000), _rng(5, i)).hit_time
         for i in range(runs)
@@ -195,7 +223,7 @@ def test_mu_plus_lambda_solves_onemax():
     cfg = AlgorithmConfig(
         AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(n), mu=4, lam=8
     )
-    trace = run_mu_plus_lambda_ea(onemax(n), cfg, Budget(200_000), _rng(11))
+    trace = run_algorithm(onemax(n), cfg, Budget(200_000), _rng(11))
     assert trace.hit_time is not None
     # Evaluations advance in whole generations after the initial mu.
     assert (trace.evaluations - 4) % 8 == 0 or trace.hit_time is not None
@@ -207,7 +235,7 @@ def test_mu_plus_lambda_history_is_monotone():
         AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(n), mu=3, lam=6,
         tie_break=TieBreak.UNIFORM_RANDOM,
     )
-    trace = run_mu_plus_lambda_ea(onemax(n), cfg, Budget(100_000), _rng(12))
+    trace = run_algorithm(onemax(n), cfg, Budget(100_000), _rng(12))
     fits = [f for _, f in trace.best_fitness_history]
     assert fits == sorted(fits)
 
@@ -217,7 +245,7 @@ def test_comma_ea_with_strong_pressure_solves_onemax():
     cfg = AlgorithmConfig(
         AlgorithmKind.MU_COMMA_LAMBDA_EA, MutationParams(n), mu=2, lam=40
     )
-    trace = run_mu_comma_lambda_ea(onemax(n), cfg, Budget(500_000), _rng(13))
+    trace = run_algorithm(onemax(n), cfg, Budget(500_000), _rng(13))
     assert trace.hit_time is not None
 
 
@@ -226,7 +254,7 @@ def test_comma_ea_counts_lambda_initial_evaluations():
     cfg = AlgorithmConfig(
         AlgorithmKind.MU_COMMA_LAMBDA_EA, MutationParams(n), mu=2, lam=7
     )
-    trace = run_mu_comma_lambda_ea(
+    trace = run_algorithm(
         onemax(n), cfg, Budget(7), _rng(14), start_zeros=n
     )
     assert trace.evaluations == 7 and trace.censored
@@ -237,7 +265,7 @@ def test_population_budget_must_cover_initial_population():
         AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(10), mu=5, lam=5
     )
     with pytest.raises(DomainError):
-        run_mu_plus_lambda_ea(onemax(10), cfg, Budget(3), _rng(0))
+        run_algorithm(onemax(10), cfg, Budget(3), _rng(0))
 
 
 def test_population_bit_path_runs_on_generic_objective():

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
 
 import pytest
@@ -218,3 +219,93 @@ def test_bounds_command_flags_hypothesis_failure(tmp_path):
     )
     code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_BOUND_FAILURE
+
+
+def test_run_oracle_is_time_to_target_fitness(tmp_path):
+    # Regression: the oracle used to report the time to the optimum
+    # (1126.92 evaluations here) against an empirical mean of 31.48.
+    target = {
+        "function": {"family": "plateau", "n": 100, "m": 10, "k": 60},
+        "start": {"policy": "FixedZeros", "zeros": 70},
+        "target_fitness": 31,
+    }
+    cfg = _write_config(tmp_path, runs=1000, master_seed=1, **target,
+                        bounds=[{"id": "plateau_lower"}, {"id": "plateau_upper"}])
+    out = tmp_path / "out"
+    code = main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["oracle"]["expected_evaluations"] == pytest.approx(31.532, abs=1e-3)
+    assert code == EXIT_OK
+
+    # The exact fitness-level bounds are for the time to the optimum.
+    cfg = _write_config(tmp_path, name="afl.json", **target,
+                        bounds=[{"id": "afl_exact_upper"}, {"id": "afl_exact_lower"}])
+    code = main(["bounds", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_BOUND_FAILURE
+    for report in json.loads((out / "bounds.json").read_text())["bounds"]:
+        assert not report["hypotheses_ok"]
+        assert report["detail"]["reason"].startswith("not applicable")
+
+
+def test_sweep_builds_one_chain_per_point(tmp_path, monkeypatch):
+    from ea_lab import oracle
+
+    calls = []
+    build = oracle.build_level_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_level_chain", counted)
+    cfg = _write_config(
+        tmp_path,
+        runs=20,
+        oracle=True,
+        bounds=[{"id": "afl_exact_upper"}, {"id": "afl_exact_lower"}],
+        sweep={"variable": "n", "values": [6, 8]},
+    )
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "1", "--quiet"])
+    assert code == EXIT_OK
+    assert calls == [6, 8]
+
+
+# samples.csv of small fixed-seed runs on the population and bit paths,
+# pinned so that refactoring the runners cannot change a single draw.
+_W = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+_PLUS = {"kind": "MuPlusLambdaEA", "mu": 3, "lambda": 6}
+_PLUS_UNIFORM = dict(_PLUS, tie_break="UniformRandom")
+_COMMA = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
+_ONEMAX = {"family": "onemax", "n": 10}
+_LINEAR = {"family": "linear", "weights": _W}
+
+
+@pytest.mark.parametrize(
+    "function, algorithm, zeros, digest",
+    [
+        (_ONEMAX, _PLUS, 7,
+         "6c0d0665f223678275083b91b071a84d17fa5b7f84c426a847b1d4ea4ea2c440"),
+        (_ONEMAX, _PLUS_UNIFORM, None,
+         "e65e347076c871f7697417c261e467cc40c298314ac869802ddc27cb011fd9b3"),
+        (_ONEMAX, _COMMA, None,
+         "e7e35cdd62bdb04e41a2eafe2f196e60f2eb51948bd3c7c373b8bbd5a57f8526"),
+        (_LINEAR, {"kind": "OnePlusOneEA"}, None,
+         "5d3e156e9bb2ce8b91f761ba238ca4f8298123d1c2e6f8b02702c5abe1dd1463"),
+        (_LINEAR, _PLUS_UNIFORM, None,
+         "301ee30a2d30f84deca9c34c7b41acfef5bb914890d034234f69c4f419d5b051"),
+        (_LINEAR, _COMMA, 5,
+         "908fece9a9a7c776c578e773feb847d250454821297511b8972b18d5f6c33840"),
+    ],
+    ids=["plus-levels-forced", "plus-uniform-levels", "comma-levels",
+         "one-plus-one-bits", "plus-uniform-bits", "comma-bits-forced"],
+)
+def test_samples_are_pinned(tmp_path, function, algorithm, zeros, digest):
+    extra = {} if zeros is None else {"start": {"policy": "FixedZeros", "zeros": zeros}}
+    cfg = _write_config(tmp_path, function=function, algorithm=algorithm, runs=20,
+                        master_seed=2024, **extra)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"]) == EXIT_OK
+    assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == digest

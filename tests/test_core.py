@@ -77,6 +77,8 @@ def test_bitstring_is_immutable():
 def test_bitstring_rejects_non_binary():
     with pytest.raises(ValueError):
         Bitstring([0, 2])
+    with pytest.raises(ValueError):
+        Bitstring([0.5, 1])  # not truncated to 01
     with pytest.raises(DimensionError):
         Bitstring([])
 

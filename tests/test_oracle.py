@@ -150,6 +150,9 @@ def test_start_must_be_distribution():
     chain = build_level_chain(onemax(5), "RLS")
     with pytest.raises(DomainError):
         exact_expected_hitting_time(chain, np.ones(6))
+    chain = build_level_chain(onemax(10), "OnePlusOneEA")
+    with pytest.raises(DomainError):
+        exact_success_probability(chain, np.full(11, 0.54), 5)
 
 
 def test_success_probability_monotone_and_limits():
