@@ -7,11 +7,18 @@ Population EAs share one generation loop over a representation of the
 population: zeros-count levels on unitation functions (the sufficient
 statistic, distribution-equivalent to bit-level simulation and much
 faster), or a mu x n bit array for arbitrary objectives.  RLS and the
-(1+1) EA keep single-individual fast paths on both representations.
+(1+1) EA keep single-individual fast paths.  On bits, that is a loop over
+evaluations.  On levels, it is a jump-chain sampler: it draws how long
+the run stays on a level and where it moves next, from the same
+mutation-kernel rows as the exact oracle, so a run costs O(level
+changes) rather than O(evaluations).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,6 +30,7 @@ from .core import (
     FitnessFunction,
     MutationParams,
     UnitationSpec,
+    mutation_kernel_row,
 )
 
 _BATCH = 256
@@ -98,6 +106,59 @@ class RunTrace:
 # Single-individual fast paths (RLS and the (1+1) EA)
 
 
+class _JumpChain:
+    """The accepted moves of RLS or the (1+1) EA on a unitation function,
+    tabled lazily per visited level.
+
+    ``level(z)`` gives ``(log_stay, dests, cum)``: ``log_stay`` is
+    log(1 - s), where s is the probability that one offspring is an
+    accepted move to another level (None when s = 0); ``dests`` are those
+    levels, most likely first, and ``cum`` their cumulative
+    probabilities, ending at s.  A destination whose probability does not
+    change the float cumulative sum can never be picked by bisection, so
+    it is dropped; that keeps each table as short as the mutation's
+    effective support.
+    """
+
+    def __init__(self, spec: UnitationSpec, rate: float | None):
+        self.n, self.table, self.rate = spec.n, spec.value_table, rate
+        self.values = spec.value_table.tolist()
+        self.levels: dict[int, tuple] = {}
+
+    def level(self, z: int) -> tuple:
+        entry = self.levels.get(z)
+        if entry is None:
+            lo, probs = mutation_kernel_row(self.n, z, self.rate)
+            hi = lo + probs.size
+            accepted = self.table[lo:hi] >= self.table[z]
+            if lo <= z < hi:
+                accepted[z - lo] = False
+            moves = np.flatnonzero(accepted)
+            moves = moves[np.argsort(-probs[moves], kind="stable")]
+            cum = np.cumsum(probs[moves])
+            s = float(cum[-1]) if cum.size else 0.0
+            if s == 0.0:
+                entry = (None, [], [])
+            else:
+                # Moves after the first that brings cum to s add nothing.
+                useful = int(np.searchsorted(cum, s)) + 1
+                log_stay = math.log1p(-s) if s < 1.0 else -math.inf  # s can round above 1
+                entry = (log_stay, (moves[:useful] + lo).tolist(), cum[:useful].tolist())
+            self.levels[z] = entry
+        return entry
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_chain(spec: UnitationSpec, rate: float | None) -> _JumpChain:
+    return _JumpChain(spec, rate)
+
+
+def _uniforms(rng: np.random.Generator):
+    """Uniforms on [0, 1), drawn in level-independent batches."""
+    while True:
+        yield from rng.random(_BATCH).tolist()
+
+
 def _run_single_level(
     spec: UnitationSpec,
     cfg: AlgorithmConfig,
@@ -107,52 +168,47 @@ def _run_single_level(
     target: float,
     trans: np.ndarray | None,
 ) -> RunTrace:
-    n = spec.n
-    table = spec.value_table
+    """Jump-chain sampler: at each level, the number of offspring up to
+    and including the first accepted move to another level is
+    Geometric(s), drawn by inversion, and that move's destination is
+    drawn by bisecting the cumulative distribution of accepted moves.
+    Every other offspring is a self-loop, so a run costs O(level
+    changes), not O(evaluations)."""
+    chain = _jump_chain(spec, None if cfg.kind is AlgorithmKind.RLS else cfg.mutation.rate)
+    values = chain.values
     max_evals = budget.max_evaluations
 
-    z = int(rng.binomial(n, 0.5)) if start_zeros is None else int(start_zeros)
+    z = int(rng.binomial(spec.n, 0.5)) if start_zeros is None else int(start_zeros)
     evals = 1
-    best = float(table[z])
+    best = values[z]
     history = [(1, best)]
     hit = 1 if best >= target else None
 
-    is_rls = cfg.kind is AlgorithmKind.RLS
-    p = cfg.mutation.rate
-    while hit is None and evals < max_evals:
-        # Draw a batch of offspring proposals for the current level; the
-        # remainder of a batch is discarded whenever the level changes.
-        if is_rls:
-            us = rng.random(_BATCH)
-        else:
-            d0s = rng.binomial(z, p, _BATCH)
-            d1s = rng.binomial(n - z, p, _BATCH)
-        for i in range(_BATCH):
-            if evals >= max_evals:
-                break
-            if is_rls:
-                z_new = z - 1 if us[i] < z / n else z + 1
-            else:
-                z_new = z - int(d0s[i]) + int(d1s[i])
-            evals += 1
-            fy = float(table[z_new])
-            accepted = fy >= table[z]
+    uniforms = _uniforms(rng)
+    while hit is None:
+        log_stay, dests, cum = chain.level(z)
+        left = max_evals - evals
+        # Self-loops before the move: floor(log(U) / log(1 - s)), U in (0, 1].
+        stays = left if log_stay is None else math.log1p(-next(uniforms)) / log_stay
+        if stays >= left:
             if trans is not None:
-                trans[z, z_new if accepted else z] += 1
-            if fy > best:
-                best = fy
-                history.append((evals, fy))
-            if fy >= target:
-                hit = evals
-                break
-            if accepted and z_new != z:
-                z = z_new
-                if not is_rls:
-                    break  # flip-count draws were conditioned on the old level
-        else:
-            continue
-        if hit is not None or evals >= max_evals:
+                trans[z, z] += left
+            evals = max_evals
             break
+        stays = int(stays)
+        evals += stays + 1
+        k = bisect.bisect_right(cum, next(uniforms) * cum[-1])
+        z_new = dests[min(k, len(dests) - 1)]  # U * s can round up to s
+        if trans is not None:
+            trans[z, z] += stays
+            trans[z, z_new] += 1
+        z = z_new
+        fy = values[z]
+        if fy > best:
+            best = fy
+            history.append((evals, fy))
+        if fy >= target:
+            hit = evals
 
     return RunTrace(evals, history, hit, hit is None, trans)
 
@@ -359,6 +415,15 @@ def run_algorithm(
         return _run_single_bits(f, cfg, budget, rng, start_zeros, target)
     rep = _Levels(f, cfg.mutation.rate) if levels else _Bits(f, cfg.mutation.rate)
     return _run_population(rep, cfg, budget, rng, start_zeros, target, trans)
+
+
+def uses_jump_chain(f: UnitationSpec | FitnessFunction, cfg: AlgorithmConfig) -> bool:
+    """Whether runs of ``cfg`` on ``f`` take the jump-chain sampler: RLS or
+    the (1+1) EA on a unitation function, whose exact level chain the
+    oracle builds from the same kernel rows."""
+    return isinstance(f, UnitationSpec) and cfg.kind in (
+        AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA
+    )
 
 
 def rls_config(n: int) -> AlgorithmConfig:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import core, empirics, oracle
-from .algorithms import AlgorithmConfig, AlgorithmKind, Budget, TieBreak
+from .algorithms import AlgorithmConfig, AlgorithmKind, Budget, TieBreak, uses_jump_chain
 from .bounds import BoundReport, Direction
 from .core import FitnessFunction, MutationParams, UnitationSpec
 
@@ -37,6 +37,8 @@ EXIT_BOUND_FAILURE = 2
 # Oracle computation is cubic in n; above this size it must be requested
 # explicitly in the configuration.
 _ORACLE_AUTO_LIMIT = 512
+
+_NO_CHAIN = "the exact level chain needs RLS or the (1+1) EA on a unitation function"
 
 
 class ConfigError(ValueError):
@@ -175,21 +177,24 @@ class BoundContext:
     def has_chain(self) -> bool:
         """Whether the algorithm's state is a zeros-count level: RLS or the
         (1+1) EA on a unitation function."""
-        return isinstance(self.experiment.function, UnitationSpec) and (
-            self.algorithm.kind in (AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA)
-        )
+        return uses_jump_chain(self.experiment.function, self.algorithm)
 
     @functools.cached_property
     def chain(self) -> oracle.LevelChain:
         """The point's exact level chain, built on first use and shared by
         the oracle and the exact fitness-level bounds."""
         if not self.has_chain:
-            raise ConfigError("the exact level chain needs RLS or the (1+1) EA "
-                              "on a unitation function")
+            raise ConfigError(_NO_CHAIN)
         exp = self.experiment
         return oracle.build_level_chain(
             exp.function, exp.algorithm.kind.value, exp.algorithm.mutation
         )
+
+    @functools.cached_property
+    def level_data(self) -> oracle.FitnessLevelData:
+        """The chain's exact fitness-level data, computed on first use and
+        shared by both exact fitness-level bounds."""
+        return oracle.fitness_level_data(self.chain)
 
     @property
     def start(self) -> np.ndarray:
@@ -319,12 +324,10 @@ def _eval_plateau_upper(ctx, params):
 
 
 def _afl_exact_levels(ctx):
-    chain = ctx.chain
     if ctx.experiment.target_fitness is not None:
         raise core.DomainError("the exact fitness-level bounds bound the time to the "
                                "optimum, not to target_fitness")
-    data = oracle.fitness_level_data(chain)
-    start = ctx.start
+    data, start = ctx.level_data, ctx.start
     # Initial-level mass over the non-top fitness levels.
     u = np.array([sum(start[z] for z in level) for level in data.levels[:-1]])
     return data, u
@@ -427,13 +430,23 @@ BOUND_REGISTRY = {
 }
 
 
-def evaluate_bounds(ctx: BoundContext, entries: list[dict]) -> list[BoundReport]:
-    reports = []
+def check_bounds(ctx: BoundContext, entries: list[dict]) -> None:
+    """Reject, before anything is simulated, an unknown bound id and an
+    exact fitness-level bound on a point without a level chain."""
     for entry in entries:
         bound_id = entry["id"]
         if bound_id not in BOUND_REGISTRY:
             known = ", ".join(sorted(BOUND_REGISTRY))
             raise ConfigError(f"unknown bound id '{bound_id}' (known: {known})")
+        if bound_id.startswith("afl_exact_") and not ctx.has_chain:
+            raise ConfigError(_NO_CHAIN)
+
+
+def evaluate_bounds(ctx: BoundContext, entries: list[dict]) -> list[BoundReport]:
+    check_bounds(ctx, entries)
+    reports = []
+    for entry in entries:
+        bound_id = entry["id"]
         try:
             reports.append(BOUND_REGISTRY[bound_id](ctx, entry.get("params", {})))
         except (core.DomainError, KeyError) as exc:
@@ -580,8 +593,9 @@ def _run_point(cfg: dict, exp: empirics.Experiment, workers: int):
     """The pipeline ``run`` and ``sweep`` share for one experiment: run
     the batch, then the oracle, then the bounds, then compare.  Returns
     the batch, the comparison rows and the point's JSON record."""
-    batch = empirics.run_batch(exp, workers=workers)
     ctx = BoundContext(cfg["function"], exp)
+    check_bounds(ctx, cfg.get("bounds", []))
+    batch = empirics.run_batch(exp, workers=workers)
     want_oracle = cfg.get("oracle", ctx.has_chain and ctx.n <= _ORACLE_AUTO_LIMIT)
     oracle_info = compute_oracle(ctx) if want_oracle else None
     oracle_value = oracle_info["expected_evaluations"] if oracle_info else None

@@ -1,6 +1,6 @@
 """Search-space primitives: bitstrings, seeded randomness, standard bit
-mutation, binomial flip-count formulas, and the unitation test-function
-composer.
+mutation, binomial flip-count formulas, the mutation-kernel row over
+zeros-count levels, and the unitation test-function composer.
 
 Unitation functions are described by an ordered list of blocks (linear,
 gap, plateau) scanned from the all-zeros bitstring towards the all-ones
@@ -10,6 +10,7 @@ function is fully described by a value table indexed by zeros-count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -159,31 +160,98 @@ def standard_bit_mutation(
 
 
 def flip_count_pmf(n: int, p: float, j: int) -> float:
-    """Exact probability that a Binomial(n, p) flip count equals ``j``.
-
-    Evaluated in log-space so that extreme tails stay accurate.
-    """
-    if not 0 <= p <= 1:
-        raise DomainError("p must be a probability")
+    """Probability that a Binomial(n, p) flip count equals ``j``; an
+    entry of :func:`flip_count_pmf_table`."""
     if not 0 <= j <= n:
         raise DomainError("j must lie in 0..n")
-    if p == 0.0:
-        return 1.0 if j == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if j == n else 0.0
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(j + 1)
-        - gammaln(n - j + 1)
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-    )
-    return float(math.exp(log_pmf))
+    return float(flip_count_pmf_table(n, p)[j])
 
 
 def flip_count_pmf_table(n: int, p: float) -> np.ndarray:
-    """Full binomial pmf over flip counts 0..n."""
-    return np.array([flip_count_pmf(n, p, j) for j in range(n + 1)])
+    """Full binomial pmf over flip counts 0..n.
+
+    The log-ratios log P(j + 1) / P(j) are summed outwards from the mode
+    and the table is normalised, so an entry k counts from the mode is
+    accurate to about k ulps and the table sums to 1.  (The log-gamma
+    formula of :func:`mutation_kernel_row` cancels terms of size n log n
+    and loses up to ~1e-12 relative accuracy at n near 1000.)
+    """
+    if not 0 <= p <= 1:
+        raise DomainError("p must be a probability")
+    if p in (0.0, 1.0):
+        return np.eye(1, n + 1, 0 if p == 0.0 else n)[0]
+    j = np.arange(n)
+    log_ratios = np.log(n - j) - np.log(j + 1) + (math.log(p) - math.log1p(-p))
+    mode = min(n, int((n + 1) * p))
+    log_rel = np.zeros(n + 1)
+    log_rel[mode + 1 :] = np.cumsum(log_ratios[mode:])
+    log_rel[:mode] = -np.cumsum(log_ratios[:mode][::-1])[::-1]
+    table = np.exp(log_rel)
+    return table / table.sum()
+
+
+# Natural logs below this give 0.0 under exp (the smallest subnormal is
+# e^-744.44); the margin covers lgamma/gammaln rounding differences.
+_LOG_ZERO = -746.0
+
+
+@functools.lru_cache(maxsize=8)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return gammaln(np.arange(1, n + 2))
+
+
+def _binomial_support(m: int, p: float, n: int) -> tuple[int, np.ndarray]:
+    """Binomial(m, p) pmf, m <= n, as ``(lo, pmf)`` over the counts
+    ``lo, lo + 1, ...`` whose probability is non-zero in double
+    precision, evaluated in log space by the log-gamma formula;
+    ``0 < p < 1``."""
+    log_p, log_q, log_fact = math.log(p), math.log1p(-p), _log_factorials(n)
+
+    def log_pmf(j):
+        return log_fact[m] - log_fact[j] - log_fact[m - j] + j * log_p + (m - j) * log_q
+
+    # The pmf is log-concave, so it falls monotonically away from the
+    # mode: search outwards in doubling steps for a count past each end.
+    mode = min(m, int((m + 1) * p))
+    ends = []
+    for direction, limit in ((-1, 0), (1, m)):
+        j, step = mode, 1
+        while j != limit and log_pmf(j) > _LOG_ZERO:
+            j = max(0, min(m, mode + direction * step))
+            step *= 2
+        ends.append(j)
+    pmf = np.exp(log_pmf(np.arange(ends[0], ends[1] + 1)))
+    nonzero = np.flatnonzero(pmf)
+    return ends[0] + int(nonzero[0]), pmf[nonzero[0] : nonzero[-1] + 1]
+
+
+def mutation_kernel_row(n: int, z: int, rate: float | None) -> tuple[int, np.ndarray]:
+    """Mutation-kernel row of zeros-count level ``z`` as ``(lo, probs)``:
+    ``probs[i]`` is the probability that the offspring has ``lo + i``
+    zeros.  Selection plays no part.
+
+    ``rate`` is the per-bit flip rate of standard bit mutation, or None
+    for RLS, which flips one uniformly chosen bit.  Standard bit mutation
+    flips Bin(z, rate) zero-bits and Bin(n - z, rate) one-bits, so the
+    row is the convolution of the first pmf, reversed, with the second.
+    Both pmfs cover only the flip counts of non-zero probability, which
+    keeps the row banded when n is large.
+    """
+    if not 0 <= z <= n:
+        raise DomainError("zeros-count out of range")
+    if rate is None:
+        lo, probs = z - 1, np.array([z / n, 0.0, (n - z) / n])
+        if z == 0:
+            lo, probs = 0, probs[1:]
+        return lo, probs[:-1] if z == n else probs
+    lo0, zero_flips = _binomial_support(z, rate, n)
+    lo1, one_flips = _binomial_support(n - z, rate, n)
+    # Scaling both factors by 2^500 (exact) keeps their products out of
+    # the subnormal range, where floating-point arithmetic is many times
+    # slower; the row sums to at most 1, so the scaled sums cannot overflow.
+    row = np.convolve(np.ldexp(zero_flips[::-1], 500), np.ldexp(one_flips, 500))
+    return z - (lo0 + zero_flips.size - 1) + lo1, np.ldexp(row, -1000)
 
 
 # ---------------------------------------------------------------------------

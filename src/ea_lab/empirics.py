@@ -16,13 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import AlgorithmConfig, Budget, run_algorithm
+from .algorithms import AlgorithmConfig, Budget, run_algorithm, uses_jump_chain
 from .bounds import BoundReport, Direction
 from .core import DomainError, FitnessFunction, RngStream, UnitationSpec
 
 SAMPLE_HEADER = "run_id,seed_stream,evaluations,success,best_fitness"
 MIN_VISITS_FOR_DRIFT = 30
 _CI_MIN_RUNS = 100
+# A process pool costs tens of milliseconds to start, feed and stop.  A
+# jump-chain run costs about _JUMP_RUN_S plus _JUMP_RUN_S_PER_BIT per bit
+# (2-CPU Xeon VM, n = 10..3000); a batch of them estimated below
+# POOL_MIN_BATCH_S runs in this process whatever the worker count, since a
+# pool would make it slower and its wall time less steady.
+_JUMP_RUN_S = 50e-6
+_JUMP_RUN_S_PER_BIT = 1e-6
+POOL_MIN_BATCH_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -194,14 +202,25 @@ class BatchResult:
     transitions: np.ndarray | None = None
 
 
+def _pool_pays(exp: Experiment) -> bool:
+    if not uses_jump_chain(exp.function, exp.algorithm):
+        return True
+    per_run = _JUMP_RUN_S + exp.function.n * _JUMP_RUN_S_PER_BIT
+    return exp.runs * per_run >= POOL_MIN_BATCH_S
+
+
 def run_batch(
     exp: Experiment, workers: int = 1, record_transitions: bool = False
 ) -> BatchResult:
     """Execute all runs of the experiment with per-run streams
     ``(master_seed, 0..runs-1)``; deterministic for a fixed experiment
-    regardless of the worker count."""
+    regardless of the worker count.  With ``workers > 1`` the runs are
+    shared by a process pool, unless they are jump-chain runs estimated
+    to take less than ``POOL_MIN_BATCH_S`` in all."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    if not _pool_pays(exp):
+        workers = 1
     n_chunks = min(exp.runs, max(1, workers * 4))
     edges = np.linspace(0, exp.runs, n_chunks + 1).astype(int)
     chunk_args = [

@@ -7,6 +7,13 @@ an absorbing Markov chain on the n+1 zeros-count levels.  Expected
 hitting times, success probabilities and exact drift values computed
 here are the ground truth that both the closed-form bounds and the
 Monte Carlo estimates are checked against.
+
+The chain's mutation kernel is built from
+:func:`~ea_lab.core.mutation_kernel_row`, the row that also drives the
+level sampler in :mod:`ea_lab.algorithms`.  The sampler jumps from level
+to level with the chain's accepted moves, so a simulated run costs
+O(level changes), while the exact quantities here cost O(n^2) to build
+and O(n^3) to solve.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .core import (
     MutationParams,
     UnitationSpec,
     flip_count_pmf_table,
+    mutation_kernel_row,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -45,34 +53,16 @@ class LevelChain:
     absorbing: np.ndarray  # boolean mask over levels
 
 
-def _mutation_kernel(n: int, p: float) -> np.ndarray:
-    """Raw standard-bit-mutation kernel over zeros-counts.
-
-    From a point with z zeros, flipping d0 of the z zero-bits and d1 of
-    the n-z one-bits moves to z - d0 + d1 zeros; the two flip counts are
-    independent binomials.
-    """
+def _mutation_kernel(n: int, rate: float | None) -> np.ndarray:
+    """Raw mutation kernel over zeros-counts, one
+    :func:`~ea_lab.core.mutation_kernel_row` per level (``rate`` None is
+    RLS)."""
     kernel = np.zeros((n + 1, n + 1))
     for z in range(n + 1):
-        pmf_zero = flip_count_pmf_table(z, p)
-        pmf_one = flip_count_pmf_table(n - z, p)
-        row = kernel[z]
-        for d0 in range(z + 1):
-            lo = z - d0
-            row[lo : lo + (n - z) + 1] += pmf_zero[d0] * pmf_one
+        lo, probs = mutation_kernel_row(n, z, rate)
+        kernel[z, lo : lo + probs.size] = probs
         # Fold the tiny summation residual into the self-loop.
-        row[z] += 1.0 - row.sum()
-    return kernel
-
-
-def _rls_kernel(n: int) -> np.ndarray:
-    """Single uniformly chosen bit flip per step."""
-    kernel = np.zeros((n + 1, n + 1))
-    for z in range(n + 1):
-        if z > 0:
-            kernel[z, z - 1] = z / n
-        if z < n:
-            kernel[z, z + 1] = (n - z) / n
+        kernel[z, z] += 1.0 - kernel[z].sum()
     return kernel
 
 
@@ -86,7 +76,7 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: MutationParams |
     n = spec.n
     table = spec.value_table
     if kind == "RLS":
-        kernel = _rls_kernel(n)
+        kernel = _mutation_kernel(n, None)
     elif kind == "OnePlusOneEA":
         if mutation is None:
             mutation = MutationParams(n=n, chi=1.0)
@@ -97,14 +87,12 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: MutationParams |
         raise DomainError(f"unsupported algorithm kind for oracle: {kind}")
 
     absorbing = table == table.max()
-    P = np.zeros_like(kernel)
-    for z in range(n + 1):
-        if absorbing[z]:
-            P[z, z] = 1.0
-            continue
-        accept = table >= table[z]
-        P[z, accept] = kernel[z, accept]
-        P[z, z] += kernel[z, ~accept].sum()
+    accept = table[None, :] >= table[:, None]
+    P = np.where(accept, kernel, 0.0)
+    P[np.diag_indices(n + 1)] += np.where(accept, 0.0, kernel).sum(axis=1)
+    top = np.flatnonzero(absorbing)
+    P[top] = 0.0
+    P[top, top] = 1.0
     assert np.all(np.abs(P.sum(axis=1) - 1.0) < 1e-9)
     P.setflags(write=False)
     kernel.setflags(write=False)

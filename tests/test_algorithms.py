@@ -1,5 +1,6 @@
 """Tests for the instrumented algorithm runners."""
 
+import math
 import random
 
 import numpy as np
@@ -21,10 +22,18 @@ from ea_lab.core import (
     DomainError,
     MutationParams,
     RngStream,
+    gap_function,
     linear_function,
     needle,
     onemax,
     plateau_function,
+)
+from ea_lab.empirics import Experiment, StartPolicy, run_batch
+from ea_lab.oracle import (
+    binomial_start,
+    build_level_chain,
+    exact_success_probability,
+    point_start,
 )
 
 
@@ -294,3 +303,72 @@ def test_transition_counts_cover_all_generations():
     )
     total = int(trace.level_transitions.sum())
     assert total == trace.evaluations - 1  # one transition per offspring
+
+
+def test_stuck_rls_is_censored_at_the_budget():
+    # From 8 zeros both RLS neighbours are worse: 7 lies in the gap, 9 on
+    # the leading ramp.  The run never moves and uses the whole budget.
+    trace = run_algorithm(
+        gap_function(20, 3, 5), rls_config(20), Budget(), _rng(17),
+        start_zeros=8, record_transitions=True,
+    )
+    assert trace.censored and trace.hit_time is None
+    assert trace.evaluations == 10_000_000
+    assert int(trace.level_transitions.sum()) == 9_999_999
+    assert trace.level_transitions[8, 8] == 9_999_999
+    assert trace.best_fitness_history == [(1, trace.best_fitness)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_censored_transition_counts_cover_all_evaluations(seed):
+    # A small budget censors the gap jump, and OneMax runs mid-way.
+    cases = [(gap_function(40, 3, 1), 4, 1_000), (onemax(60), None, 150)]
+    for spec, zeros, max_evals in cases:
+        trace = run_algorithm(
+            spec, one_plus_one_config(spec.n), Budget(max_evals), _rng(18, seed),
+            start_zeros=zeros, record_transitions=True,
+        )
+        assert trace.censored and trace.evaluations == max_evals
+        assert int(trace.level_transitions.sum()) == max_evals - 1
+
+
+# ---------------------------------------------------------------------------
+# The level sampler's runtime distribution matches the exact chain
+
+
+def _exact_cdf(chain, start, ts):
+    """P(T <= t evaluations) at each of the increasing times ``ts``, which
+    is the probability of absorption within t - 1 generations; one pass
+    over t."""
+    v, done, out = np.asarray(start, dtype=float), 0, []
+    for t in ts:
+        for _ in range(int(t) - 1 - done):
+            v = v @ chain.P
+        done = int(t) - 1
+        out.append(float(v[chain.absorbing].sum()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, kind, chi, zeros, budget, runs",
+    [
+        (gap_function(40, 3, 1), AlgorithmKind.ONE_PLUS_ONE_EA, 1.0, 4, 200_000, 4_000),
+        # Every needle offspring is accepted, so a run makes ~800 level changes.
+        (needle(10), AlgorithmKind.ONE_PLUS_ONE_EA, 2.0, None, 20_000, 1_000),
+        (plateau_function(30, 5, 10), AlgorithmKind.RLS, 1.0, None, 3_000, 4_000),
+    ],
+    ids=["gap-from-block-start", "needle-chi-2", "rls-plateau"],
+)
+def test_level_sampler_cdf_within_dkw_band(spec, kind, chi, zeros, budget, runs):
+    alpha = 1e-3
+    cfg = AlgorithmConfig(kind, MutationParams(spec.n, chi))
+    start = StartPolicy.uniform() if zeros is None else StartPolicy.fixed(zeros)
+    summary = run_batch(Experiment(spec, cfg, runs, 23, Budget(budget), start)).summary
+    chain = build_level_chain(spec, kind.value, cfg.mutation)
+    u = binomial_start(spec.n) if zeros is None else point_start(spec.n, zeros)
+    exact = _exact_cdf(chain, u, summary.curve_t)
+    mid = len(exact) // 2
+    assert exact[mid] == exact_success_probability(chain, u, int(summary.curve_t[mid]) - 1)
+    # Dvoretzky-Kiefer-Wolfowitz: sup |F_N - F| <= eps with prob. >= 1 - alpha.
+    eps = math.sqrt(math.log(2 / alpha) / (2 * runs))
+    assert np.abs(summary.curve_p - exact).max() <= eps

@@ -272,6 +272,63 @@ def test_sweep_builds_one_chain_per_point(tmp_path, monkeypatch):
     assert calls == [6, 8]
 
 
+def test_sweep_computes_fitness_levels_once_per_point(tmp_path, monkeypatch):
+    from ea_lab import oracle
+
+    calls = []
+    levels = oracle.fitness_level_data
+
+    def counted(chain):
+        calls.append(chain.n)
+        return levels(chain)
+
+    monkeypatch.setattr(oracle, "fitness_level_data", counted)
+    cfg = _write_config(
+        tmp_path,
+        runs=20,
+        bounds=[{"id": "afl_exact_upper"}, {"id": "afl_exact_lower"}],
+        sweep={"variable": "n", "values": [6, 8]},
+    )
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "1", "--quiet"])
+    assert code == EXIT_OK
+    assert calls == [6, 8]
+
+
+_SWEEP = {"sweep": {"variable": "n", "values": [6, 8]}}
+_POPULATION = {"kind": "MuPlusLambdaEA", "mu": 2, "lambda": 2}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("run", {"bounds": [{"id": "no_such_theorem"}]}, "unknown bound id"),
+        ("sweep", {"bounds": [{"id": "no_such_theorem"}], **_SWEEP}, "unknown bound id"),
+        ("run", {"algorithm": _POPULATION, "bounds": [{"id": "afl_exact_upper"}]},
+         "exact level chain needs"),
+        ("sweep", {"algorithm": _POPULATION, "bounds": [{"id": "afl_exact_lower"}],
+                   **_SWEEP}, "exact level chain needs"),
+        ("run", {"function": {"family": "linear", "weights": [1, 2, 3]},
+                 "bounds": [{"id": "afl_exact_lower"}]}, "exact level chain needs"),
+    ],
+    ids=["run-unknown-id", "sweep-unknown-id", "run-afl-exact-on-population",
+         "sweep-afl-exact-on-population", "run-afl-exact-on-bits"],
+)
+def test_bound_errors_stop_before_simulation(tmp_path, monkeypatch, capsys,
+                                             command, overrides, message):
+    from ea_lab import empirics
+
+    def fail(*args, **kwargs):
+        raise AssertionError("run_batch called before the bounds were checked")
+
+    monkeypatch.setattr(empirics, "run_batch", fail)
+    cfg = _write_config(tmp_path, **overrides)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "1", "--quiet"])
+    assert code == EXIT_ERROR
+    assert message in capsys.readouterr().err
+
+
 # samples.csv of small fixed-seed runs on the population and bit paths,
 # pinned so that refactoring the runners cannot change a single draw.
 _W = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]

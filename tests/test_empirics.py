@@ -1,11 +1,20 @@
 """Tests for the Monte Carlo experiment engine."""
 
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from ea_lab.algorithms import Budget, one_plus_one_config, rls_config
+from ea_lab import empirics
+from ea_lab.algorithms import (
+    AlgorithmConfig,
+    AlgorithmKind,
+    Budget,
+    one_plus_one_config,
+    rls_config,
+)
 from ea_lab.bounds import BoundReport, Direction
-from ea_lab.core import DomainError, RngStream, onemax, plateau_function
+from ea_lab.core import DomainError, MutationParams, RngStream, onemax, plateau_function
 from ea_lab.empirics import (
     Experiment,
     RunRecord,
@@ -84,6 +93,47 @@ def test_run_batch_deterministic_across_workers():
     two = run_batch(exp, workers=2)
     assert one.records == two.records
     assert one.summary.mean == two.summary.mean
+
+
+def _count_pools(monkeypatch, pool_class) -> list[int]:
+    """Make ``run_batch`` start ``pool_class`` pools; returns the list of
+    their worker counts, filled as they start."""
+    started = []
+
+    class CountingPool(pool_class):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(empirics, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_short_jump_chain_batch_starts_no_pool(monkeypatch):
+    started = _count_pools(monkeypatch, ThreadPoolExecutor)
+    exp = _exp(runs=120)
+    assert run_batch(exp, workers=2).records == run_batch(exp, workers=1).records
+    assert started == []
+
+
+def test_pooled_batch_matches_one_worker(monkeypatch):
+    started = _count_pools(monkeypatch, ProcessPoolExecutor)
+    monkeypatch.setattr(empirics, "POOL_MIN_BATCH_S", 0.0)
+    exp = _exp(runs=120)
+    one = run_batch(exp, workers=1, record_transitions=True)
+    two = run_batch(exp, workers=2, record_transitions=True)
+    assert started == [2]
+    assert one.records == two.records
+    assert np.array_equal(one.transitions, two.transitions)
+
+
+def test_population_batch_uses_the_pool(monkeypatch):
+    started = _count_pools(monkeypatch, ThreadPoolExecutor)
+    algorithm = AlgorithmConfig(AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(8),
+                                mu=2, lam=2)
+    exp = Experiment(onemax(8), algorithm, runs=3, master_seed=1, budget=Budget(10_000))
+    run_batch(exp, workers=2)
+    assert started == [2]
 
 
 def test_run_ids_are_the_stream_indices():

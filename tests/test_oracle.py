@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from ea_lab.core import DomainError, MutationParams, gap_function, needle, onemax
+from ea_lab.core import (
+    DomainError,
+    MutationParams,
+    gap_function,
+    needle,
+    onemax,
+)
 from ea_lab.oracle import (
     ROW_SUM_TOL,
     binomial_start,
@@ -75,6 +82,52 @@ def test_rls_kernel_moves_by_one_level():
         for z2 in range(6):
             if abs(z - z2) > 1:
                 assert k[z, z2] == 0.0
+
+
+def _per_flip_count_kernel(n, p):
+    """The standard-bit-mutation kernel built by a Python loop over the
+    number d0 of flipped zero-bits, with one scalar log-gamma pmf per
+    flip count: the reference for the vectorised row."""
+
+    def pmf_table(m):
+        return np.array([
+            math.exp(gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
+                     + j * math.log(p) + (m - j) * math.log1p(-p))
+            for j in range(m + 1)
+        ])
+
+    kernel = np.zeros((n + 1, n + 1))
+    for z in range(n + 1):
+        pmf_zero = pmf_table(z)
+        pmf_one = pmf_table(n - z)
+        row = kernel[z]
+        for d0 in range(z + 1):
+            lo = z - d0
+            row[lo : lo + (n - z) + 1] += pmf_zero[d0] * pmf_one
+        row[z] += 1.0 - row.sum()
+    return kernel
+
+
+# Every (n, chi) with n in {1, 2, 17, 64} and chi in {1, 2.5} that
+# satisfies 0 < chi < n; n = 1 has none, and its RLS kernel is checked below.
+@pytest.mark.parametrize("n, chi", [(2, 1.0), (17, 1.0), (17, 2.5), (64, 1.0), (64, 2.5)])
+def test_mutation_kernel_matches_per_flip_count_loop(n, chi):
+    kernel = build_level_chain(onemax(n), "OnePlusOneEA", MutationParams(n, chi)).mutation_kernel
+    assert np.abs(kernel - _per_flip_count_kernel(n, chi / n)).max() <= 1e-15
+    assert np.all(np.abs(kernel.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_rls_kernel_matches_closed_form(n):
+    closed = np.zeros((n + 1, n + 1))
+    for z in range(n + 1):
+        if z > 0:
+            closed[z, z - 1] = z / n
+        if z < n:
+            closed[z, z + 1] = (n - z) / n
+    kernel = build_level_chain(onemax(n), "RLS").mutation_kernel
+    assert np.abs(kernel - closed).max() <= 1e-15
+    assert np.all(np.abs(kernel.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
 
 
 def test_unknown_kind_rejected():
