@@ -31,8 +31,12 @@ class Direction(Enum):
 
 @dataclass
 class BoundReport:
+    """A theorem's verdict on one instance.  ``hypotheses_ok`` is None when
+    the theorem does not apply to the instance at all (``detail["reason"]``
+    says why), False when its hypotheses were checked and fail."""
+
     theorem_id: str
-    hypotheses_ok: bool
+    hypotheses_ok: bool | None
     direction: Direction
     bound_value: float | None = None
     log_value: float | None = None

@@ -1,11 +1,24 @@
 """Command-line front end: run experiments, sweep the problem size, or
 evaluate theorem bounds from a JSON configuration.
 
-Exit status is 0 when every checked bound is respected, 2 when a bound
-check fails or a theorem's hypotheses do not hold, and 1 on usage or
-configuration errors.  All output files are written atomically
-(temporary file + rename) so a crashed invocation never leaves a
-truncated artifact behind.
+Each bound id names one evaluator in ``BOUND_REGISTRY``.  An evaluator
+returns its theorem's report with upper bounds counted in generations;
+``evaluate_bounds`` then applies the shared conventions in one place:
+
+- the report's ``theorem_id`` is the registry key;
+- an upper bound whose hypotheses hold gets the algorithm's initial
+  population added, so that it counts evaluations like the empirical
+  clock, and records it as ``detail["initial_evaluations_added"]``;
+- an evaluator that raises ``DomainError`` or ``KeyError`` (a missing
+  parameter) yields a "not applicable" report, ``hypotheses_ok`` None,
+  whose ``detail["reason"]`` says why.
+
+Exit status is 0 when no checked bound is contradicted, 2 when one is or
+when a theorem's own hypothesis check fails, and 1 on usage or
+configuration errors.  A bound that does not apply leaves ``run`` and
+``sweep`` at 0, but makes ``bounds`` exit 2: it cannot be certified.
+All output files are written atomically (temporary file + rename) so a
+crashed invocation never leaves a truncated artifact behind.
 """
 
 from __future__ import annotations
@@ -233,133 +246,63 @@ def _mk(ctx: BoundContext, params: dict, key: str, default=None):
     return value
 
 
-def _upper_in_evaluations(report: BoundReport, extra: int) -> BoundReport:
-    # Closed-form upper bounds count generations; the empirical clock also
-    # counts the initial evaluation(s), so shift before comparing.
-    if report.hypotheses_ok and report.direction is Direction.UPPER_ON_E:
-        report.bound_value = report.bound_value + extra
-        report.detail["initial_evaluations_added"] = extra
-    return report
+def _closed_form(direction: Direction, fn, *param_keys: str):
+    """Evaluator of the closed form ``fn(n, *values)``, each integer value
+    taken from the bound's params or else from the function section."""
+
+    def evaluate(ctx, params):
+        values = {key: int(_mk(ctx, params, key)) for key in param_keys}
+        value = fn(ctx.n, *values.values())
+        return BoundReport("", True, direction, bound_value=value, detail=values)
+
+    return evaluate
 
 
-def _simple(theorem_id: str, direction: Direction, value: float, **detail) -> BoundReport:
-    return BoundReport(theorem_id, True, direction, bound_value=value, detail=detail)
+def _tail(fn, *param_keys: str):
+    """Evaluator of the tail inequality ``fn(*values)`` over the bound's
+    params."""
+
+    def evaluate(ctx, params):
+        values = {key: float(params[key]) for key in param_keys}
+        value = fn(*values.values())
+        return BoundReport("", True, Direction.TAIL_UPPER, bound_value=value, detail=values)
+
+    return evaluate
 
 
-def _eval_markov(ctx, params):
-    e = float(params["expectation"])
-    t = float(params["t"])
-    return _simple("markov", Direction.TAIL_UPPER, bnd.markov_bound(e, t),
-                   expectation=e, t=t)
-
-
-def _eval_chernoff_upper(ctx, params):
-    e, d = float(params["expectation"]), float(params["delta"])
-    return _simple("chernoff_upper", Direction.TAIL_UPPER, bnd.chernoff_upper(e, d),
-                   expectation=e, delta=d)
-
-
-def _eval_chernoff_lower(ctx, params):
-    e, d = float(params["expectation"]), float(params["delta"])
-    return _simple("chernoff_lower", Direction.TAIL_UPPER, bnd.chernoff_lower(e, d),
-                   expectation=e, delta=d)
-
-
-def _eval_onemax_afl_upper(ctx, params):
-    rep = _simple("onemax_afl_upper", Direction.UPPER_ON_E, bnd.onemax_afl_upper(ctx.n))
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
-
-
-def _eval_linear_block_upper(ctx, params):
-    m, k = int(_mk(ctx, params, "m")), int(_mk(ctx, params, "k"))
-    rep = _simple("linear_block_upper", Direction.UPPER_ON_E,
-                  bnd.linear_block_upper(ctx.n, m, k), m=m, k=k)
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
-
-
-def _eval_linear_block_lower(ctx, params):
-    m, k = int(_mk(ctx, params, "m")), int(_mk(ctx, params, "k"))
-    return _simple("linear_block_lower", Direction.LOWER_ON_E,
-                   bnd.linear_block_lower(ctx.n, m, k), m=m, k=k)
-
-
-def _gap_reports(ctx, params):
-    m, k = int(_mk(ctx, params, "m")), int(_mk(ctx, params, "k"))
-    return bnd.gap_block_bounds(ctx.n, m, k), m, k
-
-
-def _eval_gap_inner_lower(ctx, params):
-    gb, m, k = _gap_reports(ctx, params)
-    return _simple("gap_inner_lower", Direction.LOWER_ON_E, gb.inner_lower, m=m, k=k)
-
-
-def _eval_gap_inner_upper(ctx, params):
-    gb, m, k = _gap_reports(ctx, params)
-    rep = _simple("gap_inner_upper", Direction.UPPER_ON_E, gb.inner_upper, m=m, k=k)
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
-
-
-def _eval_gap_outer_lower(ctx, params):
-    gb, m, k = _gap_reports(ctx, params)
-    return _simple("gap_outer_lower", Direction.LOWER_ON_E, gb.outer_lower, m=m, k=k)
-
-
-def _eval_gap_outer_upper(ctx, params):
-    gb, m, k = _gap_reports(ctx, params)
-    rep = _simple("gap_outer_upper", Direction.UPPER_ON_E, gb.outer_upper, m=m, k=k)
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
-
-
-def _eval_plateau_lower(ctx, params):
-    m, k = int(_mk(ctx, params, "m")), int(_mk(ctx, params, "k"))
-    lower, _ = bnd.plateau_bounds(ctx.n, m, k)
-    return _simple("plateau_lower", Direction.LOWER_ON_E, lower, m=m, k=k)
-
-
-def _eval_plateau_upper(ctx, params):
-    m, k = int(_mk(ctx, params, "m")), int(_mk(ctx, params, "k"))
-    _, upper = bnd.plateau_bounds(ctx.n, m, k)
-    rep = _simple("plateau_upper", Direction.UPPER_ON_E, upper, m=m, k=k)
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
+def _gap(part: str):
+    return lambda n, m, k: getattr(bnd.gap_block_bounds(n, m, k), part)
 
 
 def _afl_exact_levels(ctx):
     if ctx.experiment.target_fitness is not None:
         raise core.DomainError("the exact fitness-level bounds bound the time to the "
                                "optimum, not to target_fitness")
-    data, start = ctx.level_data, ctx.start
-    # Initial-level mass over the non-top fitness levels.
-    u = np.array([sum(start[z] for z in level) for level in data.levels[:-1]])
-    return data, u
+    return ctx.level_data
 
 
 def _eval_afl_exact_upper(ctx, params):
-    data, _ = _afl_exact_levels(ctx)
-    rep = bnd.afl_upper(bnd.LevelData(s=data.s_min))
-    rep.theorem_id = "afl_exact_upper"
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
+    return bnd.afl_upper(bnd.LevelData(s=_afl_exact_levels(ctx).s_min))
 
 
 def _eval_afl_exact_lower(ctx, params):
-    data, u = _afl_exact_levels(ctx)
+    data, start = _afl_exact_levels(ctx), ctx.start
+    # Initial-level mass over the non-top fitness levels.
+    u = np.array([sum(start[z] for z in level) for level in data.levels[:-1]])
     if ctx.algorithm.kind is AlgorithmKind.ONE_PLUS_ONE_EA:
         chi = bnd.afl_chi_certificate(ctx.n, ctx.algorithm.mutation.chi)
     else:
         chi = 1.0  # RLS moves by single levels only
     rep = bnd.afl_lower(bnd.LevelData(s=data.s_max, u=u, chi_afl=chi))
-    rep.theorem_id = "afl_exact_lower"
     rep.detail["chi_afl"] = chi
     return rep
 
 
 def _eval_multiplicative_drift_onemax(ctx, params):
     # Distance |x|_0, drift at least |x|_0 / (e n) for the (1+1) EA.
-    spec = bnd.MultiplicativeDrift(
+    return bnd.multiplicative_drift_bound(bnd.MultiplicativeDrift(
         delta=1.0 / (math.e * ctx.n), c_min=1.0, c_max=float(ctx.n)
-    )
-    rep = bnd.multiplicative_drift_bound(spec)
-    rep.theorem_id = "multiplicative_drift_onemax"
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
+    ))
 
 
 def _eval_variable_drift_onemax(ctx, params):
@@ -367,29 +310,23 @@ def _eval_variable_drift_onemax(ctx, params):
     spec = bnd.VariableDrift(
         h=lambda x: x / (math.e * n), x_min=1.0, x_max=float(n), X0=float(n)
     )
-    rep = bnd.variable_drift_bound(spec, bnd.VariableDriftMode.UPPER_ON_E)
-    rep.theorem_id = "variable_drift_onemax"
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
+    return bnd.variable_drift_bound(spec, bnd.VariableDriftMode.UPPER_ON_E)
 
 
 def _eval_level_based_onemax(ctx, params):
     delta = float(params.get("delta", 0.1))
     mu = ctx.algorithm.mu if ctx.algorithm.kind is AlgorithmKind.MU_COMMA_LAMBDA_EA else None
-    p = bnd.onemax_level_params(
+    return bnd.level_based_bound(bnd.onemax_level_params(
         ctx.n, ctx.algorithm.mutation.chi, delta, ctx.algorithm.lam, mu=mu
-    )
-    rep = bnd.level_based_bound(p)
-    rep.theorem_id = "level_based_onemax"
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
+    ))
 
 
 def _eval_mucommalambda_runtime(ctx, params):
     delta = float(params.get("delta", 0.1))
     const = float(params.get("linear_term_constant", 0.0))
-    rep = bnd.mucommalambda_runtime_bound(
+    return bnd.mucommalambda_runtime_bound(
         ctx.n, ctx.algorithm.mutation.chi, delta, ctx.algorithm.lam, const
     )
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
 
 
 def _eval_linear_runtime_upper(ctx, params):
@@ -402,24 +339,27 @@ def _eval_linear_runtime_upper(ctx, params):
         w_min = float(_mk(ctx, params, "w_min", 1.0))
     n = ctx.n
     value = math.e * n * (math.log(n) + math.log(w_max / w_min) + 1.0)
-    rep = _simple("linear_runtime_upper", Direction.UPPER_ON_E, value,
-                  w_max=w_max, w_min=w_min)
-    return _upper_in_evaluations(rep, ctx.algorithm.initial_population)
+    return BoundReport("", True, Direction.UPPER_ON_E, bound_value=value,
+                       detail={"w_max": w_max, "w_min": w_min})
 
 
 BOUND_REGISTRY = {
-    "markov": _eval_markov,
-    "chernoff_upper": _eval_chernoff_upper,
-    "chernoff_lower": _eval_chernoff_lower,
-    "onemax_afl_upper": _eval_onemax_afl_upper,
-    "linear_block_upper": _eval_linear_block_upper,
-    "linear_block_lower": _eval_linear_block_lower,
-    "gap_inner_lower": _eval_gap_inner_lower,
-    "gap_inner_upper": _eval_gap_inner_upper,
-    "gap_outer_lower": _eval_gap_outer_lower,
-    "gap_outer_upper": _eval_gap_outer_upper,
-    "plateau_lower": _eval_plateau_lower,
-    "plateau_upper": _eval_plateau_upper,
+    "markov": _tail(bnd.markov_bound, "expectation", "t"),
+    "chernoff_upper": _tail(bnd.chernoff_upper, "expectation", "delta"),
+    "chernoff_lower": _tail(bnd.chernoff_lower, "expectation", "delta"),
+    "onemax_afl_upper": _closed_form(Direction.UPPER_ON_E, bnd.onemax_afl_upper),
+    "linear_block_upper": _closed_form(Direction.UPPER_ON_E, bnd.linear_block_upper,
+                                       "m", "k"),
+    "linear_block_lower": _closed_form(Direction.LOWER_ON_E, bnd.linear_block_lower,
+                                       "m", "k"),
+    "gap_inner_lower": _closed_form(Direction.LOWER_ON_E, _gap("inner_lower"), "m", "k"),
+    "gap_inner_upper": _closed_form(Direction.UPPER_ON_E, _gap("inner_upper"), "m", "k"),
+    "gap_outer_lower": _closed_form(Direction.LOWER_ON_E, _gap("outer_lower"), "m", "k"),
+    "gap_outer_upper": _closed_form(Direction.UPPER_ON_E, _gap("outer_upper"), "m", "k"),
+    "plateau_lower": _closed_form(Direction.LOWER_ON_E,
+                                  lambda *a: bnd.plateau_bounds(*a)[0], "m", "k"),
+    "plateau_upper": _closed_form(Direction.UPPER_ON_E,
+                                  lambda *a: bnd.plateau_bounds(*a)[1], "m", "k"),
     "afl_exact_upper": _eval_afl_exact_upper,
     "afl_exact_lower": _eval_afl_exact_lower,
     "multiplicative_drift_onemax": _eval_multiplicative_drift_onemax,
@@ -443,17 +383,23 @@ def check_bounds(ctx: BoundContext, entries: list[dict]) -> None:
 
 
 def evaluate_bounds(ctx: BoundContext, entries: list[dict]) -> list[BoundReport]:
+    """One report per entry, under the conventions in the module docstring."""
     check_bounds(ctx, entries)
+    extra = ctx.algorithm.initial_population
     reports = []
     for entry in entries:
         bound_id = entry["id"]
         try:
-            reports.append(BOUND_REGISTRY[bound_id](ctx, entry.get("params", {})))
+            report = BOUND_REGISTRY[bound_id](ctx, entry.get("params", {}))
         except (core.DomainError, KeyError) as exc:
-            reports.append(BoundReport(
-                bound_id, False, Direction.UPPER_ON_E,
-                detail={"reason": f"not applicable: {exc}"},
-            ))
+            report = BoundReport(bound_id, None, Direction.UPPER_ON_E,
+                                 detail={"reason": f"not applicable: {exc}"})
+        report.theorem_id = bound_id
+        # The empirical clock also counts the initial evaluations.
+        if report.hypotheses_ok and report.direction is Direction.UPPER_ON_E:
+            report.bound_value += extra
+            report.detail["initial_evaluations_added"] = extra
+        reports.append(report)
     return reports
 
 
@@ -509,22 +455,6 @@ def summary_dict(summary: empirics.RuntimeSummary) -> dict:
         "budget": summary.budget,
         "curve": {"t": summary.curve_t, "p": summary.curve_p},
     }
-
-
-def report_dict(rep: BoundReport) -> dict:
-    return {
-        "theorem_id": rep.theorem_id,
-        "hypotheses_ok": rep.hypotheses_ok,
-        "direction": rep.direction.value,
-        "bound_value": rep.bound_value,
-        "log_value": rep.log_value,
-        "detail": rep.detail,
-        "warnings": rep.warnings,
-    }
-
-
-def row_dict(row: empirics.ComparisonRow) -> dict:
-    return dataclasses.asdict(row)
 
 
 def _fmt(v) -> str:
@@ -604,8 +534,8 @@ def _run_point(cfg: dict, exp: empirics.Experiment, workers: int):
     record = {
         "runtime": summary_dict(batch.summary),
         "oracle": oracle_info,
-        "bounds": [report_dict(r) for r in reports],
-        "comparison": [row_dict(r) for r in rows],
+        "bounds": [dataclasses.asdict(r) for r in reports],
+        "comparison": [dataclasses.asdict(r) for r in rows],
     }
     return batch, rows, record
 
@@ -677,15 +607,17 @@ def cmd_bounds(args) -> int:
         {
             "schema_version": cfg["schema_version"],
             "config": cfg,
-            "bounds": [report_dict(r) for r in reports],
+            "bounds": [dataclasses.asdict(r) for r in reports],
         },
     )
     if not args.quiet:
         for rep in reports:
-            status = "ok" if rep.hypotheses_ok else "HYPOTHESES FAILED"
+            status = {True: "ok", False: "HYPOTHESES FAILED",
+                      None: "NOT APPLICABLE"}[rep.hypotheses_ok]
             print(f"{rep.theorem_id}: {status} bound={_fmt(rep.bound_value)} "
                   f"({rep.direction.value})")
         print(f"results written to {args.out}")
+    # A bound that does not apply cannot be certified either.
     failed = any(not r.hypotheses_ok for r in reports)
     return EXIT_BOUND_FAILURE if failed else EXIT_OK
 

@@ -92,7 +92,8 @@ class RuntimeSummary:
 
     Mean/median/quantiles are conditional on success; censoring is
     reported separately rather than imputed.  The curve is the empirical
-    success probability P(T <= t) on a log-spaced grid.
+    success probability P(T <= t) on a log-spaced grid of at most 50
+    points.
     """
 
     runs: int
@@ -121,14 +122,14 @@ def wilson_interval(hits: int, total: int, z: float = 1.959963984540054):
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def summarize(records: list[RunRecord], budget: int, curve_points: int = 50) -> RuntimeSummary:
+def summarize(records: list[RunRecord], budget: int) -> RuntimeSummary:
     runs = len(records)
     hits = np.sort(np.array([r.evaluations for r in records if r.success], dtype=float))
     successes = hits.size
     censored = runs - successes
 
     curve_t = np.unique(
-        np.round(np.logspace(0, math.log10(max(budget, 2)), curve_points)).astype(int)
+        np.round(np.logspace(0, math.log10(max(budget, 2)), 50)).astype(int)
     ).astype(float)
     curve_p = np.searchsorted(hits, curve_t, side="right") / runs
 
@@ -352,8 +353,10 @@ def compare(
 
     A bound row is satisfied when the oracle value (preferred) or the
     empirical mean respects the bound direction; empirical comparisons
-    get a 3-standard-error allowance.  Tail bounds are informational
-    rows without a satisfaction verdict.
+    get a 3-standard-error allowance.  A bound whose hypotheses fail
+    (``hypotheses_ok`` False) is unsatisfied.  Tail bounds, and bounds
+    that do not apply to the experiment (``hypotheses_ok`` None), are
+    informational rows without a satisfaction verdict.
     """
     rows = [
         ComparisonRow("mean_hit_time", summary.mean, oracle_value, None, "-", None)
@@ -363,7 +366,7 @@ def compare(
         if not rep.hypotheses_ok:
             rows.append(
                 ComparisonRow(rep.theorem_id, summary.mean, oracle_value, None,
-                              rep.direction.value, False)
+                              rep.direction.value, rep.hypotheses_ok)
             )
             continue
         if rep.direction is Direction.TAIL_UPPER:

@@ -128,9 +128,25 @@ def expected_hitting_times(chain: LevelChain) -> np.ndarray:
     return expected_hitting_times_to(chain, chain.absorbing)
 
 
+def _can_reach(support: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Levels from which some path along ``support`` (a boolean matrix of
+    one-step moves) reaches a level of ``goal`` (a boolean mask)."""
+    reach = goal.copy()
+    frontier = goal
+    while frontier.any():
+        frontier = support[:, frontier].any(axis=1) & ~reach
+        reach |= frontier
+    return reach
+
+
 def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarray:
     """Expected generations to first reach any level in ``target``
     (a boolean mask), 0 on target levels themselves.
+
+    A level from which the chain can, with positive probability, reach a
+    level that never reaches the target (such as a trap of RLS on a gap)
+    has expected time infinity; the linear system is solved over the
+    other levels only, where it is non-singular.
 
     Used for block-local questions such as the time to jump a gap,
     where the target set is not the global optimum.
@@ -142,10 +158,13 @@ def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarr
         raise DomainError("target set must be non-empty")
     if np.any(chain.absorbing & ~target):
         raise DomainError("an absorbing level outside the target is never left")
-    idx = np.flatnonzero(~target)
+    support = chain.P > 0
+    support[target] = False  # the chain stops at its first target visit
+    doomed = _can_reach(support, ~_can_reach(support, target))
+    idx = np.flatnonzero(~target & ~doomed)
     Q = chain.P[np.ix_(idx, idx)]
     t = solve(np.eye(idx.size) - Q, np.ones(idx.size))
-    out = np.zeros(chain.n + 1)
+    out = np.where(doomed, np.inf, 0.0)
     out[idx] = t
     return out
 
@@ -168,7 +187,9 @@ def exact_expected_hitting_time(
     """
     start = _checked_start(chain, start)
     mask = chain.absorbing if target is None else target
-    return float(np.dot(start, expected_hitting_times_to(chain, mask)))
+    times = expected_hitting_times_to(chain, mask)
+    # Levels without start mass drop out: 0 * inf would be NaN.
+    return float(np.dot(start, np.where(start > 0, times, 0.0)))
 
 
 def exact_success_probability(chain: LevelChain, start: np.ndarray, t: int) -> float:

@@ -53,6 +53,15 @@ def test_schema_error_reports_pointer(tmp_path):
         load_config(path)
 
 
+def test_unread_output_dir_setting_is_rejected(tmp_path, capsys):
+    # Results go where --out says; a config that names another place fails
+    # loudly instead of being silently ignored.
+    cfg = _write_config(tmp_path, output_dir="elsewhere")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_ERROR
+    assert "at /: " in capsys.readouterr().err
+
+
 def test_missing_required_field(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1}))
@@ -248,6 +257,45 @@ def test_run_oracle_is_time_to_target_fitness(tmp_path):
         assert report["detail"]["reason"].startswith("not applicable")
 
 
+def test_not_applicable_bound_is_not_a_failure(tmp_path):
+    # Regression: afl_exact_upper does not apply under target_fitness, and
+    # used to count as a failed bound, so `run` exited 2.
+    cfg = _write_config(
+        tmp_path, runs=1000, master_seed=1,
+        function={"family": "plateau", "n": 100, "m": 10, "k": 60},
+        start={"policy": "FixedZeros", "zeros": 70}, target_fitness=31,
+        bounds=[{"id": "plateau_lower"}, {"id": "plateau_upper"},
+                {"id": "afl_exact_upper"}],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"]) == EXIT_OK
+    rows = (out / "comparison.csv").read_text().splitlines()
+    assert [r.rsplit(",", 1)[1] for r in rows[2:]] == ["1", "1", ""]
+    assert rows[-1].startswith("afl_exact_upper,")
+    report = json.loads((out / "summary.json").read_text())["bounds"][-1]
+    assert report["hypotheses_ok"] is None
+
+    # `bounds` cannot certify it, so it still exits 2.
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_BOUND_FAILURE
+
+
+def test_unreachable_target_gives_infinite_oracle(tmp_path):
+    # RLS never crosses the gap from zeros=8; solving the singular system
+    # used to end in a LinAlgError traceback.
+    cfg = _write_config(
+        tmp_path, runs=5, budget=1000,
+        function={"family": "gap", "n": 20, "m": 3, "k": 5},
+        algorithm={"kind": "RLS"}, start={"policy": "FixedZeros", "zeros": 8},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["oracle"]["expected_evaluations"] == "inf"
+    assert summary["runtime"]["censored"] == 5
+
+
 def test_sweep_builds_one_chain_per_point(tmp_path, monkeypatch):
     from ea_lab import oracle
 
@@ -366,3 +414,71 @@ def test_samples_are_pinned(tmp_path, function, algorithm, zeros, digest):
     assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
                  "--quiet"]) == EXIT_OK
     assert hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest() == digest
+
+
+# bounds.json of fixed configs that between them name all 19 bound ids,
+# with m and k taken both from the function section and from params.
+# Pinned so that restructuring the bound registry cannot change a report.
+_EXACT = [{"id": "afl_exact_upper"}, {"id": "afl_exact_lower"}]
+_GAP = [{"id": f"gap_{s}"} for s in ("inner_lower", "inner_upper", "outer_lower",
+                                     "outer_upper")]
+_ONEMAX_DRIFT = [{"id": "multiplicative_drift_onemax"}, {"id": "variable_drift_onemax"}]
+_MK = {"m": 3, "k": 4}
+_EA_15 = {"kind": "OnePlusOneEA", "chi": 1.5}
+_GAP_FN = {"family": "gap", "n": 12, "m": 2, "k": 3}
+_PLATEAU_FN = {"family": "plateau", "n": 20, "m": 4, "k": 12}
+_ONEMAX_16 = {"family": "onemax", "n": 16}
+
+
+@pytest.mark.parametrize(
+    "function, algorithm, bounds, digest",
+    [
+        (_GAP_FN, {"kind": "RLS"},
+         _GAP + _EXACT + [{"id": "linear_block_upper", "params": _MK},
+                          {"id": "linear_block_lower", "params": _MK}],
+         "a9c55e8845ab6c419188e1fc7f370bf90ab843f6ef817aa65bc8bed314eb4aa5"),
+        (_GAP_FN, _EA_15,
+         [dict(b, params={"m": 2, "k": 5}) for b in _GAP] + _EXACT + _ONEMAX_DRIFT,
+         "017aad94f316891ebb9427683a945911266c0621b25442f719d2fc87bf72f366"),
+        (_PLATEAU_FN, {"kind": "RLS"},
+         [{"id": "plateau_lower"}, {"id": "plateau_upper"}] + _EXACT,
+         "a8322b178e80353b747d610ba586de05238ae5abe966b5279cdb1b077a885cff"),
+        (_PLATEAU_FN, _EA_15,
+         [{"id": "plateau_lower", "params": {"m": 3, "k": 13}},
+          {"id": "plateau_upper", "params": {"m": 3, "k": 13}},
+          {"id": "linear_runtime_upper", "params": {"w_max": 4, "w_min": 1}}] + _EXACT,
+         "bfec785585a0908af3b6ffd94bf362335d41f9c362886425fe091e53d9efb9ff"),
+        (_ONEMAX_16, _EA_15,
+         [{"id": "onemax_afl_upper"}, {"id": "linear_block_upper", "params": _MK},
+          {"id": "linear_block_lower", "params": _MK}, {"id": "linear_runtime_upper"},
+          {"id": "level_based_onemax"}] + _ONEMAX_DRIFT + _EXACT,
+         "7f9402cce8bab0cfa5a2bd9bf1440cb690cd014dc9d16cfd7691a561d5f1dd6a"),
+        (_ONEMAX_16, {"kind": "RLS"},
+         [{"id": "onemax_afl_upper"}] + _ONEMAX_DRIFT + _EXACT,
+         "ad09d741bb5e0a8afaa74cc0c7f594e831dcb4447d9e1fd66f5e5593e1bb95b1"),
+        (_ONEMAX_16, {"kind": "MuCommaLambdaEA", "mu": 5000, "lambda": 100000},
+         [{"id": "onemax_afl_upper"}, {"id": "level_based_onemax",
+                                       "params": {"delta": 0.2}},
+          {"id": "mucommalambda_runtime"},
+          {"id": "mucommalambda_runtime",
+           "params": {"delta": 0.2, "linear_term_constant": 1.5}}],
+         "0e8ba1beb09a945b4182f802b33aa49d6077335dcb7af1ca642e475d25a3b551"),
+        (_LINEAR, {"kind": "OnePlusOneEA"},
+         [{"id": "linear_runtime_upper"},
+          {"id": "markov", "params": {"expectation": 15, "t": 20}},
+          {"id": "chernoff_upper", "params": {"expectation": 30, "delta": 0.5}},
+          {"id": "chernoff_lower", "params": {"expectation": 30, "delta": 0.5}}],
+         "e55d3c6387a769eeec18e4acf4c1961fdc7f72a22d90746d2a9403f1347d1e8b"),
+    ],
+    ids=["gap-rls", "gap-ea", "plateau-rls", "plateau-ea", "onemax-ea", "onemax-rls",
+         "comma", "linear-tails"],
+)
+def test_bound_reports_are_pinned(tmp_path, function, algorithm, bounds, digest):
+    cfg = _write_config(tmp_path, function=function, algorithm=algorithm, bounds=bounds)
+    out = tmp_path / "out"
+    main(["bounds", "--config", cfg, "--out", str(out), "--quiet"])
+    payload = json.loads((out / "bounds.json").read_text())
+    assert not any(b["detail"].get("reason", "").startswith("not applicable")
+                   for b in payload["bounds"])
+    got = hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest()
+    assert got == digest, got

@@ -245,12 +245,17 @@ def test_compare_directions():
     bad_lower = BoundReport("l", True, Direction.LOWER_ON_E, bound_value=40.0)
     tail = BoundReport("t", True, Direction.TAIL_UPPER, bound_value=0.2)
     broken = BoundReport("b", False, Direction.UPPER_ON_E)
-    rows = compare(s, [good_upper, bad_lower, tail, broken], oracle_value=10.0)
+    inapplicable = BoundReport("n", None, Direction.UPPER_ON_E,
+                               detail={"reason": "not applicable: no target"})
+    rows = compare(s, [good_upper, bad_lower, tail, broken, inapplicable],
+                   oracle_value=10.0)
     by_id = {r.quantity: r for r in rows}
     assert by_id["u"].satisfied is True
     assert by_id["l"].satisfied is False  # oracle 10 < claimed lower bound 40
     assert by_id["t"].satisfied is None  # informational
     assert by_id["b"].satisfied is False  # hypotheses failed
+    assert by_id["n"].satisfied is None  # does not apply: no verdict
+    assert by_id["n"].bound is None
 
 
 def test_compare_uses_stderr_slack_without_oracle():

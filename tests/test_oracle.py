@@ -262,6 +262,23 @@ def test_hitting_time_to_subset_validates():
         expected_hitting_times_to(chain, bad)
 
 
+def test_levels_that_can_miss_the_target_take_forever():
+    # RLS on this gap function never leaves zeros-count 8, the edge of the
+    # gap far from the optimum; every level that can reach it (6..20) has
+    # an infinite expected time.
+    n = 20
+    chain = build_level_chain(gap_function(n, 3, 5), "RLS")
+    times = expected_hitting_times(chain)
+    assert np.flatnonzero(np.isinf(times)).tolist() == list(range(6, n + 1))
+    finite = np.flatnonzero(~chain.absorbing & np.isfinite(times))
+    Q = chain.P[np.ix_(finite, finite)]
+    assert np.allclose(times[finite] - Q @ times[finite], 1.0, atol=1e-12)
+    assert exact_expected_hitting_time(chain, point_start(n, 8)) == math.inf
+    # Start mass only on finite levels keeps the expectation finite.
+    assert exact_expected_hitting_time(chain, point_start(n, 3)) == pytest.approx(
+        times[3])
+
+
 # ---------------------------------------------------------------------------
 # Fitness-level data
 
