@@ -9,9 +9,12 @@ returns its theorem's report with upper bounds counted in generations;
 - an upper bound whose hypotheses hold gets the algorithm's initial
   population added, so that it counts evaluations like the empirical
   clock, and records it as ``detail["initial_evaluations_added"]``;
-- an evaluator that raises ``DomainError`` or ``KeyError`` (a missing
-  parameter) yields a "not applicable" report, ``hypotheses_ok`` None,
-  whose ``detail["reason"]`` says why.
+- an evaluator that raises ``DomainError`` yields a "not applicable"
+  report, ``hypotheses_ok`` None, in the direction its registry entry
+  records, whose ``detail["reason"]`` says why.
+
+A bound parameter missing from both the bound's params and the function
+section is a configuration error, whatever the bound.
 
 Exit status is 0 when no checked bound is contradicted, 2 when one is or
 when a theorem's own hypothesis check fails, and 1 on usage or
@@ -32,7 +35,7 @@ import os
 import sys
 import tempfile
 from importlib import resources
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -239,6 +242,14 @@ def compute_oracle(ctx: BoundContext) -> dict | None:
 # Bound registry
 
 
+class Bound(NamedTuple):
+    """A registry entry: the direction of the bound and its evaluator,
+    ``evaluate(ctx, params) -> BoundReport``."""
+
+    direction: Direction
+    evaluate: Callable[[BoundContext, dict], BoundReport]
+
+
 def _mk(ctx: BoundContext, params: dict, key: str, default=None):
     value = params.get(key, ctx.function_cfg.get(key, default))
     if value is None:
@@ -255,7 +266,7 @@ def _closed_form(direction: Direction, fn, *param_keys: str):
         value = fn(ctx.n, *values.values())
         return BoundReport("", True, direction, bound_value=value, detail=values)
 
-    return evaluate
+    return Bound(direction, evaluate)
 
 
 def _tail(fn, *param_keys: str):
@@ -263,11 +274,11 @@ def _tail(fn, *param_keys: str):
     params."""
 
     def evaluate(ctx, params):
-        values = {key: float(params[key]) for key in param_keys}
+        values = {key: float(_mk(ctx, params, key)) for key in param_keys}
         value = fn(*values.values())
         return BoundReport("", True, Direction.TAIL_UPPER, bound_value=value, detail=values)
 
-    return evaluate
+    return Bound(Direction.TAIL_UPPER, evaluate)
 
 
 def _gap(part: str):
@@ -360,13 +371,14 @@ BOUND_REGISTRY = {
                                   lambda *a: bnd.plateau_bounds(*a)[0], "m", "k"),
     "plateau_upper": _closed_form(Direction.UPPER_ON_E,
                                   lambda *a: bnd.plateau_bounds(*a)[1], "m", "k"),
-    "afl_exact_upper": _eval_afl_exact_upper,
-    "afl_exact_lower": _eval_afl_exact_lower,
-    "multiplicative_drift_onemax": _eval_multiplicative_drift_onemax,
-    "variable_drift_onemax": _eval_variable_drift_onemax,
-    "level_based_onemax": _eval_level_based_onemax,
-    "mucommalambda_runtime": _eval_mucommalambda_runtime,
-    "linear_runtime_upper": _eval_linear_runtime_upper,
+    "afl_exact_upper": Bound(Direction.UPPER_ON_E, _eval_afl_exact_upper),
+    "afl_exact_lower": Bound(Direction.LOWER_ON_E, _eval_afl_exact_lower),
+    "multiplicative_drift_onemax": Bound(Direction.UPPER_ON_E,
+                                         _eval_multiplicative_drift_onemax),
+    "variable_drift_onemax": Bound(Direction.UPPER_ON_E, _eval_variable_drift_onemax),
+    "level_based_onemax": Bound(Direction.UPPER_ON_E, _eval_level_based_onemax),
+    "mucommalambda_runtime": Bound(Direction.UPPER_ON_E, _eval_mucommalambda_runtime),
+    "linear_runtime_upper": Bound(Direction.UPPER_ON_E, _eval_linear_runtime_upper),
 }
 
 
@@ -389,10 +401,11 @@ def evaluate_bounds(ctx: BoundContext, entries: list[dict]) -> list[BoundReport]
     reports = []
     for entry in entries:
         bound_id = entry["id"]
+        bound = BOUND_REGISTRY[bound_id]
         try:
-            report = BOUND_REGISTRY[bound_id](ctx, entry.get("params", {}))
-        except (core.DomainError, KeyError) as exc:
-            report = BoundReport(bound_id, None, Direction.UPPER_ON_E,
+            report = bound.evaluate(ctx, entry.get("params", {}))
+        except core.DomainError as exc:
+            report = BoundReport(bound_id, None, bound.direction,
                                  detail={"reason": f"not applicable: {exc}"})
         report.theorem_id = bound_id
         # The empirical clock also counts the initial evaluations.

@@ -83,6 +83,15 @@ class Bitstring:
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
+    @classmethod
+    def _trusted(cls, bits: np.ndarray) -> "Bitstring":
+        """Wrap a 1-d uint8 array of 0/1 values without checking it; for
+        results that are valid by construction."""
+        obj = object.__new__(cls)
+        bits.setflags(write=False)
+        object.__setattr__(obj, "bits", bits)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("Bitstring is immutable")
 
@@ -156,7 +165,8 @@ def standard_bit_mutation(
     if p.n != x.n:
         raise DimensionError("mutation parameters sized for a different n")
     mask = rng.random(x.n) < p.rate
-    return Bitstring(x.bits ^ mask.astype(np.uint8))
+    # The XOR of two 0/1 arrays is a valid bitstring: skip the checks.
+    return Bitstring._trusted(x.bits ^ mask.view(np.uint8))
 
 
 def flip_count_pmf(n: int, p: float, j: int) -> float:

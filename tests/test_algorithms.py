@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ea_lab.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
     Budget,
     TieBreak,
+    _first_of,
+    _LevelPop,
+    _levels,
+    _merged,
     comma_selection_order,
     one_plus_one_config,
     rls_config,
@@ -372,3 +377,140 @@ def test_level_sampler_cdf_within_dkw_band(spec, kind, chi, zeros, budget, runs)
     # Dvoretzky-Kiefer-Wolfowitz: sup |F_N - F| <= eps with prob. >= 1 - alpha.
     eps = math.sqrt(math.log(2 / alpha) / (2 * runs))
     assert np.abs(summary.curve_p - exact).max() <= eps
+
+
+# ---------------------------------------------------------------------------
+# The level-histogram population sampler
+
+
+def _reference_population_run(spec, cfg, max_evals, rng, target, start_zeros=None):
+    """The per-offspring level sampler that the histogram sampler
+    replaced, kept as a reference: an array of zeros-counts, two binomial
+    draws per offspring, and an argsort of offspring then parents for
+    selection.  Returns the hit time and the last history index."""
+    n, rate, table = spec.n, cfg.mutation.rate, spec.value_table
+    mu, lam = cfg.mu, cfg.lam
+    comma = cfg.kind is AlgorithmKind.MU_COMMA_LAMBDA_EA
+    size = cfg.initial_population
+    if start_zeros is None:
+        pop = rng.binomial(n, 0.5, size=size)
+    else:
+        pop = np.full(size, start_zeros)
+    fit = table[pop]
+    evals = size
+    best = float(fit.max())
+    history = [(int(np.argmax(fit >= best)) + 1, best)]
+    hit = int(np.argmax(fit >= target)) + 1 if best >= target else None
+    while hit is None and evals + lam <= max_evals:
+        elite = pop[comma_selection_order(fit, rng)[:mu]] if comma else pop
+        parents = elite[rng.integers(0, mu, size=lam)]
+        off = parents - rng.binomial(parents, rate) + rng.binomial(n - parents, rate)
+        off_fit = table[off]
+        gen_best = float(off_fit.max())
+        if gen_best >= target:
+            hit = evals + int(np.argmax(off_fit >= target)) + 1
+        if gen_best > best:
+            history.append((evals + int(np.argmax(off_fit >= gen_best)) + 1, gen_best))
+            best = gen_best
+        evals += lam
+        if comma:
+            pop, fit = off, off_fit
+        else:
+            combined = np.concatenate([off, pop])  # offspring first on ties
+            cfit = np.concatenate([off_fit, fit])
+            if cfg.tie_break is TieBreak.UNIFORM_RANDOM:
+                order = comma_selection_order(cfit, rng)
+            else:
+                order = np.argsort(-cfit, kind="stable")
+            pop, fit = combined[order[:mu]], cfit[order[:mu]]
+    return hit, history[-1][0]
+
+
+_PLUS = (AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 6)
+_COMMA = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 2, 12)
+
+
+@pytest.mark.parametrize(
+    "spec, algorithm, tie_break, start_zeros, target",
+    [
+        (onemax(12), _PLUS, TieBreak.PREFER_OFFSPRING, None, None),
+        (onemax(12), _PLUS, TieBreak.UNIFORM_RANDOM, None, None),
+        (onemax(12), _COMMA, TieBreak.PREFER_OFFSPRING, None, None),
+        # Zeros-counts 7..4 share one fitness value.
+        (plateau_function(12, 4, 3), _PLUS, TieBreak.PREFER_OFFSPRING, None, None),
+        (plateau_function(12, 4, 3), _PLUS, TieBreak.UNIFORM_RANDOM, None, None),
+        (plateau_function(12, 4, 3), _COMMA, TieBreak.PREFER_OFFSPRING, None, None),
+        # Targets below the optimum: the hit and history indices differ,
+        # most often in the initial population.
+        (onemax(12), _PLUS, TieBreak.PREFER_OFFSPRING, 10, 6.0),
+        (onemax(12), _COMMA, TieBreak.PREFER_OFFSPRING, None, 7.0),
+    ],
+    ids=["plus-prefer-onemax", "plus-uniform-onemax", "comma-onemax",
+         "plus-prefer-plateau", "plus-uniform-plateau", "comma-plateau",
+         "plus-prefer-target", "comma-target"],
+)
+def test_histogram_sampler_matches_per_offspring_reference(
+    spec, algorithm, tie_break, start_zeros, target
+):
+    """Two-sample Kolmogorov-Smirnov tests of the hit time and of the
+    index of the last history entry against the reference sampler."""
+    kind, mu, lam = algorithm
+    cfg = AlgorithmConfig(kind, MutationParams(spec.n), mu=mu, lam=lam, tie_break=tie_break)
+    target = spec.optimum_value if target is None else target
+    runs, budget = 800, 10**6
+    new = [
+        run_algorithm(spec, cfg, Budget(budget), _rng(31, i), start_zeros=start_zeros,
+                      target_fitness=target)
+        for i in range(runs)
+    ]
+    ref = [
+        _reference_population_run(spec, cfg, budget, _rng(32, i), target, start_zeros)
+        for i in range(runs)
+    ]
+    assert not any(t.censored for t in new) and all(hit for hit, _ in ref)
+    hits = stats.ks_2samp([t.hit_time for t in new], [hit for hit, _ in ref])
+    lasts = stats.ks_2samp([t.best_fitness_history[-1][0] for t in new],
+                           [last for _, last in ref])
+    assert hits.pvalue > 1e-3 and lasts.pvalue > 1e-3
+
+
+def test_prefer_offspring_keeps_the_youngest_tied_cohorts():
+    # Zeros-counts 7..4 are one fitness class.  Under PreferOffspring the
+    # offspring and then the younger parent cohort fill all three places;
+    # a uniform draw over the tied parents would keep level 4 sometimes.
+    spec = plateau_function(12, 4, 3)
+    cfg = AlgorithmConfig(AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(12), mu=3, lam=1)
+    rep = _levels(spec, cfg)
+    at = [int(rep.position[z]) for z in (7, 6, 5, 4)]
+    pop = _LevelPop([{at[1]: 2}, {at[3]: 1}], at[1])
+    for seed in range(50):
+        kept = rep.survivors({at[0]: 1}, pop, _rng(33, seed))
+        assert _merged(kept.rows) == {at[0]: 1, at[1]: 2}
+        assert kept.rows[0] == {at[0]: 1}  # the new first best individual leads
+
+
+@pytest.mark.parametrize("h, size", [(1, 7), (3, 10), (5, 32), (40, 53)])
+def test_first_of_inverts_the_minimum_of_a_uniform_subset(h, size):
+    # Over a stratified grid of uniforms, the share mapped to each t is the
+    # exact probability C(size - t, h - 1) / C(size, h), to grid precision.
+    grid = 20_000
+    draws = [_first_of(h, size, (i + 0.5) / grid) for i in range(grid)]
+    counts = np.bincount(draws, minlength=size + 1)[1:] / grid
+    exact = [math.comb(size - t, h - 1) / math.comb(size, h) for t in range(1, size + 1)]
+    assert np.abs(counts - exact).max() <= 2 / grid
+
+
+@pytest.mark.parametrize(
+    "spec, algorithm, budget",
+    [(plateau_function(12, 4, 3), _PLUS, 10**6), (plateau_function(12, 4, 3), _COMMA, 10**6),
+     (onemax(30), _PLUS, 100)],
+    ids=["plus-plateau", "comma-plateau", "plus-censored"],
+)
+def test_population_transitions_count_generations(spec, algorithm, budget):
+    kind, mu, lam = algorithm
+    cfg = AlgorithmConfig(kind, MutationParams(spec.n), mu=mu, lam=lam)
+    for seed in range(20):
+        trace = run_algorithm(spec, cfg, Budget(budget), _rng(34, seed),
+                              record_transitions=True)
+        generations = (trace.evaluations - cfg.initial_population) // lam
+        assert int(trace.level_transitions.sum()) == generations

@@ -136,6 +136,20 @@ def test_population_batch_uses_the_pool(monkeypatch):
     assert started == [2]
 
 
+def test_population_batch_matches_one_worker(monkeypatch):
+    # Level histograms with per-cohort order (PreferOffspring on a plateau).
+    started = _count_pools(monkeypatch, ProcessPoolExecutor)
+    algorithm = AlgorithmConfig(AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(12),
+                                mu=3, lam=2)
+    exp = Experiment(plateau_function(12, 4, 3), algorithm, runs=40, master_seed=3,
+                     budget=Budget(10_000))
+    one = run_batch(exp, workers=1, record_transitions=True)
+    two = run_batch(exp, workers=2, record_transitions=True)
+    assert started == [2]
+    assert one.records == two.records
+    assert np.array_equal(one.transitions, two.transitions)
+
+
 def test_run_ids_are_the_stream_indices():
     batch = run_batch(_exp(runs=10))
     assert [r.run_id for r in batch.records] == list(range(10))
