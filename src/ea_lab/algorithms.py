@@ -25,7 +25,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -51,6 +51,9 @@ class AlgorithmKind(Enum):
     MU_COMMA_LAMBDA_EA = "MuCommaLambdaEA"
 
 
+_SINGLE_KINDS = (AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA)
+
+
 class TieBreak(Enum):
     PREFER_OFFSPRING = "PreferOffspring"
     UNIFORM_RANDOM = "UniformRandom"
@@ -67,7 +70,7 @@ class AlgorithmConfig:
     def __post_init__(self) -> None:
         if self.mu < 1 or self.lam < 1:
             raise DomainError("mu and lambda must be positive")
-        if self.kind in (AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA):
+        if self.kind in _SINGLE_KINDS:
             if self.mu != 1 or self.lam != 1:
                 raise DomainError(f"{self.kind.value} forces mu = lambda = 1")
         if self.kind is AlgorithmKind.MU_COMMA_LAMBDA_EA:
@@ -91,8 +94,7 @@ class Budget:
             raise DomainError("budget must be positive")
 
 
-@dataclass
-class RunTrace:
+class RunTrace(NamedTuple):
     """One algorithm run: evaluation counter, best-so-far fitness history
     as (evaluation_index, fitness) pairs, and the 1-based evaluation
     index at which an optimum (or the requested target fitness) was
@@ -103,7 +105,7 @@ class RunTrace:
     best_fitness_history: list[tuple[int, float]]
     hit_time: int | None
     censored: bool
-    level_transitions: np.ndarray | None = field(default=None, repr=False)
+    level_transitions: np.ndarray | None = None
 
     @property
     def best_fitness(self) -> float:
@@ -122,10 +124,11 @@ class _JumpChain:
     log(1 - s), where s is the probability that one offspring is an
     accepted move to another level (None when s = 0); ``dests`` are those
     levels, most likely first, and ``cum`` their cumulative
-    probabilities, ending at s.  A destination whose probability does not
-    change the float cumulative sum can never be picked by bisection, so
-    it is dropped; that keeps each table as short as the mutation's
-    effective support.
+    probabilities, ending at s.  ``dests`` repeats its last level once
+    more, for a bisection of ``cum`` at U * s that rounds up to s.  A
+    destination whose probability does not change the float cumulative
+    sum can never be picked by bisection, so it is dropped; that keeps
+    each table as short as the mutation's effective support.
     """
 
     def __init__(self, spec: UnitationSpec, rate: float | None):
@@ -151,20 +154,26 @@ class _JumpChain:
                 # Moves after the first that brings cum to s add nothing.
                 useful = int(np.searchsorted(cum, s)) + 1
                 log_stay = math.log1p(-s) if s < 1.0 else -math.inf  # s can round above 1
-                entry = (log_stay, (moves[:useful] + lo).tolist(), cum[:useful].tolist())
+                dests = (moves[:useful] + lo).tolist()
+                entry = (log_stay, dests + dests[-1:], cum[:useful].tolist())
             self.levels[z] = entry
         return entry
 
 
-@functools.lru_cache(maxsize=16)
+_cached_jump_chain = functools.lru_cache(maxsize=16)(_JumpChain)
+_last_jump_chain: tuple = (None, None, None)
+
+
 def _jump_chain(spec: UnitationSpec, rate: float | None) -> _JumpChain:
-    return _JumpChain(spec, rate)
-
-
-def _uniforms(rng: np.random.Generator):
-    """Uniforms on [0, 1), drawn in level-independent batches."""
-    while True:
-        yield from rng.random(_BATCH).tolist()
+    """The cached chain of ``spec`` under ``rate``.  The runs of a batch
+    share one spec object, so the last request is matched by identity,
+    without hashing the spec."""
+    global _last_jump_chain
+    last_spec, last_rate, chain = _last_jump_chain
+    if last_spec is not spec or last_rate != rate:
+        chain = _cached_jump_chain(spec, rate)
+        _last_jump_chain = (spec, rate, chain)
+    return chain
 
 
 def _run_single_level(
@@ -181,9 +190,13 @@ def _run_single_level(
     Geometric(s), drawn by inversion, and that move's destination is
     drawn by bisecting the cumulative distribution of accepted moves.
     Every other offspring is a self-loop, so a run costs O(level
-    changes), not O(evaluations)."""
+    changes), not O(evaluations).
+
+    Uniforms are drawn in batches that double from 16 to ``_BATCH``, so a
+    short run draws few that it does not use; consecutive batches continue
+    one stream, so the sizes do not change the uniforms a run sees."""
     chain = _jump_chain(spec, None if cfg.kind is AlgorithmKind.RLS else cfg.mutation.rate)
-    values = chain.values
+    values, levels = chain.values, chain.levels
     max_evals = budget.max_evaluations
 
     z = int(rng.binomial(spec.n, 0.5)) if start_zeros is None else int(start_zeros)
@@ -192,12 +205,21 @@ def _run_single_level(
     history = [(1, best)]
     hit = 1 if best >= target else None
 
-    uniforms = _uniforms(rng)
+    uniforms, i = [], 0
+    size = 8  # doubled before each batch: 16, 32, ..., _BATCH
     while hit is None:
-        log_stay, dests, cum = chain.level(z)
+        log_stay, dests, cum = levels.get(z) or chain.level(z)
+        if i + 2 > len(uniforms):  # a level change takes at most two
+            size = min(2 * size, _BATCH)
+            uniforms = uniforms[i:] + rng.random(size).tolist()
+            i = 0
         left = max_evals - evals
         # Self-loops before the move: floor(log(U) / log(1 - s)), U in (0, 1].
-        stays = left if log_stay is None else math.log1p(-next(uniforms)) / log_stay
+        if log_stay is None:
+            stays = left
+        else:
+            stays = math.log1p(-uniforms[i]) / log_stay
+            i += 1
         if stays >= left:
             if trans is not None:
                 trans[z, z] += left
@@ -205,8 +227,9 @@ def _run_single_level(
             break
         stays = int(stays)
         evals += stays + 1
-        k = bisect.bisect_right(cum, next(uniforms) * cum[-1])
-        z_new = dests[min(k, len(dests) - 1)]  # U * s can round up to s
+        k = bisect.bisect_right(cum, uniforms[i] * cum[-1])
+        i += 1
+        z_new = dests[k]
         if trans is not None:
             trans[z, z] += stays
             trans[z, z_new] += 1
@@ -658,7 +681,7 @@ def run_algorithm(
     target = f.optimum_value if target_fitness is None else target_fitness
     trans = np.zeros((f.n + 1, f.n + 1), dtype=np.int64) if record_transitions else None
 
-    if cfg.kind in (AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA):
+    if cfg.kind in _SINGLE_KINDS:
         if levels:
             return _run_single_level(f, cfg, budget, rng, start_zeros, target, trans)
         return _run_single_bits(f, cfg, budget, rng, start_zeros, target)
@@ -670,9 +693,7 @@ def uses_jump_chain(f: UnitationSpec | FitnessFunction, cfg: AlgorithmConfig) ->
     """Whether runs of ``cfg`` on ``f`` take the jump-chain sampler: RLS or
     the (1+1) EA on a unitation function, whose exact level chain the
     oracle builds from the same kernel rows."""
-    return isinstance(f, UnitationSpec) and cfg.kind in (
-        AlgorithmKind.RLS, AlgorithmKind.ONE_PLUS_ONE_EA
-    )
+    return isinstance(f, UnitationSpec) and cfg.kind in _SINGLE_KINDS
 
 
 def rls_config(n: int) -> AlgorithmConfig:

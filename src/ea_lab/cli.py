@@ -18,8 +18,9 @@ section is a configuration error, whatever the bound.
 
 Exit status is 0 when no checked bound is contradicted, 2 when one is or
 when a theorem's own hypothesis check fails, and 1 on usage or
-configuration errors.  A bound that does not apply leaves ``run`` and
-``sweep`` at 0, but makes ``bounds`` exit 2: it cannot be certified.
+configuration errors or when a pool worker dies.  A bound that does not
+apply leaves ``run`` and ``sweep`` at 0, but makes ``bounds`` exit 2: it
+cannot be certified.
 All output files are written atomically (temporary file + rename) so a
 crashed invocation never leaves a truncated artifact behind.
 """
@@ -34,6 +35,7 @@ import math
 import os
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 from typing import Any, Callable, NamedTuple
 
@@ -671,11 +673,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, core.SpecError, core.DomainError, core.DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (core.SpecError, core.DomainError, core.DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenProcessPool as exc:  # a pool worker died, e.g. killed when out of memory
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

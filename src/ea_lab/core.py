@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import gammaln
 
 
@@ -36,6 +38,105 @@ class DomainError(ValueError):
 # Randomness
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes its entropy
+# words into a pool of 4 uint32 words with these constants, and hashes the
+# pool again to generate state.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+# Streams whose keys one table holds.  2**32 is a multiple of it, so the
+# indices of a block differ only in their lowest 32-bit word.
+_KEY_BLOCK = 1024
+_BLOCK_OFFSETS = np.arange(_KEY_BLOCK, dtype=np.uint32)
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as 32-bit words, least significant first, as SeedSequence
+    splits an integer (0 is one word)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash: each call hashes an array of words with
+    the next multiplier of the sequence ``const * mult**k``."""
+
+    def hashmix(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        words = words ^ np.uint32(const)
+        const = const * mult & _MASK32
+        words = words * np.uint32(const)
+        return words ^ (words >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+@functools.lru_cache(maxsize=64)
+def _stream_keys(master_seed: int, block: int) -> np.ndarray:
+    """Philox keys of a block of streams, as a read-only (_KEY_BLOCK, 2)
+    uint64 array.
+
+    Row j is the key of stream i = block * _KEY_BLOCK + j,
+    ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(2,
+    np.uint64)``: the same hash, run once over arrays that hold a word of
+    every stream of the block (a word shared by all of them is a
+    1-element array that broadcasts).
+    """
+    # With a spawn key, SeedSequence pads the entropy to the pool size
+    # with zero words, then appends the words of the spawn key.
+    run = _uint32_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    words = [np.array([w], dtype=np.uint32) for w in run]
+    spawn = _uint32_words(block * _KEY_BLOCK)
+    words.append(_BLOCK_OFFSETS + np.uint32(spawn[0]))
+    words += [np.array([w], dtype=np.uint32) for w in spawn[1:]]
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+
+    # generate_state(2, np.uint64): four words, read as two little-endian
+    # uint64 words.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(w).astype(np.uint64) for w in pool]
+    keys = np.empty((_KEY_BLOCK, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    keys.setflags(write=False)
+    return keys
+
+
+class _StreamKey(ISeedSequence):
+    """A seed sequence that hands ``np.random.Philox`` a precomputed key:
+    Philox keys itself with ``generate_state(2, np.uint64)`` of its seed
+    sequence.  One per generator, so concurrent calls cannot mix keys."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Identifier of an independent random stream.
@@ -45,20 +146,32 @@ class RngStream:
     statistically independent streams (Philox counter-based generator
     keyed through a SeedSequence spawn key), so batches of runs are
     reproducible independently of execution order.
+
+    :meth:`generator` returns exactly
+    ``Generator(Philox(SeedSequence(master_seed, spawn_key=(stream_index,))))``,
+    whose seed sequence is child ``stream_index`` of
+    ``SeedSequence(master_seed).spawn``.  It builds no SeedSequence,
+    though: a Philox key names its stream completely, and the keys come
+    from a cached table of 1,024 consecutive streams per
+    ``(master_seed, block)``, computed at once by SeedSequence's hash on
+    arrays (``_stream_keys``).
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.stream_index < 0:
+        if operator.index(self.master_seed) < 0:
+            raise DomainError("master_seed must be non-negative")
+        if operator.index(self.stream_index) < 0:
             raise DomainError("stream_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_index,)
-        )
-        return np.random.Generator(np.random.Philox(seq))
+        block, row = divmod(self.stream_index, _KEY_BLOCK)
+        key = _StreamKey(_stream_keys(self.master_seed, block)[row])
+        # A counter given as an array skips Philox's slower conversion of
+        # the default integer 0.
+        return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +448,7 @@ class UnitationSpec:
             raise SpecError("n must be positive")
         # Building the table validates block lengths and the optimum invariant.
         object.__setattr__(self, "_table", build_value_table(self))
+        object.__setattr__(self, "_optimum", float(self._table[0]))
 
     @property
     def value_table(self) -> np.ndarray:
@@ -343,7 +457,7 @@ class UnitationSpec:
 
     @property
     def optimum_value(self) -> float:
-        return float(self._table[0])
+        return self._optimum
 
     def block_position(self, index: int) -> int:
         """Position k of the block at ``index`` (lengths of all later blocks)."""

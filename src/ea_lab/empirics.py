@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +26,13 @@ MIN_VISITS_FOR_DRIFT = 30
 _CI_MIN_RUNS = 100
 # A process pool costs tens of milliseconds to start, feed and stop.  A
 # jump-chain run costs about _JUMP_RUN_S plus _JUMP_RUN_S_PER_BIT per bit
-# (2-CPU Xeon VM, n = 10..3000); a batch of them estimated below
-# POOL_MIN_BATCH_S runs in this process whatever the worker count, since a
-# pool would make it slower and its wall time less steady.
-_JUMP_RUN_S = 50e-6
-_JUMP_RUN_S_PER_BIT = 1e-6
+# (least-squares fit of the relative error over RLS and the (1+1) EA on
+# OneMax, n = 10..3000, in-process batches with the chain tables built;
+# 2-CPU Xeon VM); a batch of them estimated below POOL_MIN_BATCH_S runs in
+# this process whatever the worker count, since a pool would make it
+# slower and its wall time less steady.
+_JUMP_RUN_S = 15e-6
+_JUMP_RUN_S_PER_BIT = 0.5e-6
 POOL_MIN_BATCH_S = 0.1
 
 
@@ -63,8 +66,7 @@ class Experiment:
             raise DomainError("runs must be >= 1")
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One raw sample row.  ``evaluations`` is the hit time for
     successful runs and the consumed budget for censored ones."""
 
@@ -164,22 +166,20 @@ def summarize(records: list[RunRecord], budget: int) -> RuntimeSummary:
 
 
 def _run_one(exp: Experiment, run_id: int, record_transitions: bool):
-    rng = RngStream(exp.master_seed, run_id).generator()
     trace = run_algorithm(
         exp.function,
         exp.algorithm,
         exp.budget,
-        rng,
+        RngStream(exp.master_seed, run_id).generator(),
         start_zeros=exp.start.fixed_zeros,
         target_fitness=exp.target_fitness,
         record_transitions=record_transitions,
     )
+    hit = trace.hit_time
+    # Positional: a NamedTuple builds faster without keywords.
     record = RunRecord(
-        run_id=run_id,
-        seed_stream=run_id,
-        evaluations=trace.hit_time if trace.hit_time is not None else trace.evaluations,
-        success=trace.hit_time is not None,
-        best_fitness=trace.best_fitness,
+        run_id, run_id, trace.evaluations if hit is None else hit, hit is not None,
+        trace.best_fitness,
     )
     return record, trace.level_transitions
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -311,6 +312,28 @@ def test_missing_bound_parameter_is_a_config_error(tmp_path, capsys, function, b
         assert main([command, "--config", cfg, "--out", str(tmp_path / command),
                      "--threads", "1", "--quiet"]) == EXIT_ERROR
         assert f"bound parameter '{key}' missing" in capsys.readouterr().err
+
+
+def _exit_abruptly(args):
+    # Module level, so that the pool can send it to its workers.
+    os._exit(3)
+
+
+def test_dead_pool_worker_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    # Regression: a worker that died escaped main as a BrokenProcessPool
+    # traceback.  Population runs always go to the pool.
+    from ea_lab import empirics
+
+    monkeypatch.setattr(empirics, "_run_chunk", _exit_abruptly)
+    cfg = _write_config(tmp_path, function={"family": "onemax", "n": 100},
+                        algorithm={"kind": "MuCommaLambdaEA", "mu": 4, "lambda": 32},
+                        runs=10)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", "2",
+                 "--quiet"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_unreachable_target_gives_infinite_oracle(tmp_path):

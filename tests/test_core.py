@@ -52,6 +52,18 @@ def test_distinct_streams_differ():
 def test_negative_stream_index_rejected():
     with pytest.raises(DomainError):
         RngStream(1, -1)
+    with pytest.raises(DomainError):
+        RngStream(-1, 0)
+
+
+@pytest.mark.parametrize("master", [0, 5, 2**32 - 1, 2**32, 2**70 + 11])
+@pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2**20 + 7, 2**32 + 1])
+def test_stream_keys_equal_seed_sequence_spawning(master, index):
+    # The key table re-implements SeedSequence's hash; these cases cross a
+    # table block, and 2**32 + 1 is a two-word spawn key.
+    seq = np.random.SeedSequence(entropy=master, spawn_key=(index,))
+    expected = np.random.Generator(np.random.Philox(seq)).random(9)
+    assert np.array_equal(RngStream(master, index).generator().random(9), expected)
 
 
 # ---------------------------------------------------------------------------

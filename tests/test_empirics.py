@@ -12,9 +12,17 @@ from ea_lab.algorithms import (
     Budget,
     one_plus_one_config,
     rls_config,
+    run_algorithm,
 )
 from ea_lab.bounds import BoundReport, Direction
-from ea_lab.core import DomainError, MutationParams, RngStream, onemax, plateau_function
+from ea_lab.core import (
+    DomainError,
+    MutationParams,
+    RngStream,
+    linear_function,
+    onemax,
+    plateau_function,
+)
 from ea_lab.empirics import (
     Experiment,
     RunRecord,
@@ -156,6 +164,37 @@ def test_run_ids_are_the_stream_indices():
     assert all(r.run_id == r.seed_stream for r in batch.records)
 
 
+_LEVEL = Experiment(onemax(10), one_plus_one_config(10), 1030, 11, Budget(50_000),
+                    StartPolicy.fixed(6))
+_POPULATION = Experiment(
+    plateau_function(12, 4, 3),
+    AlgorithmConfig(AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(12), mu=3, lam=2),
+    30, 11, Budget(10_000), target_fitness=8.0,
+)
+_BITS = Experiment(linear_function([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]), rls_config(10), 30, 11,
+                   Budget(10_000))
+
+
+@pytest.mark.parametrize(
+    "exp, indices",
+    [(_LEVEL, [0, 1, 1023, 1024, 1029]), (_POPULATION, [0, 1, 29]), (_BITS, [0, 1, 29])],
+    ids=["level", "population-levels", "bits"],
+)
+def test_each_record_is_the_run_of_its_stream(monkeypatch, exp, indices):
+    # The promise behind the seed_stream column: run i of a batch, at any
+    # worker count, is one run on RngStream(master_seed, i).
+    monkeypatch.setattr(empirics, "POOL_MIN_BATCH_S", 0.0)
+    records = run_batch(exp, workers=2).records
+    for i in indices:
+        rng = RngStream(exp.master_seed, i).generator()
+        trace = run_algorithm(exp.function, exp.algorithm, exp.budget, rng,
+                              start_zeros=exp.start.fixed_zeros,
+                              target_fitness=exp.target_fitness)
+        hit = trace.hit_time
+        assert records[i] == RunRecord(i, i, trace.evaluations if hit is None else hit,
+                                       hit is not None, trace.best_fitness)
+
+
 def test_mean_ci_present_for_large_batches():
     s = run_batch(_exp(runs=150)).summary
     assert s.mean_ci is not None
@@ -229,8 +268,6 @@ def test_estimated_drift_matches_exact_drift():
 
 
 def test_drift_estimation_needs_unitation():
-    from ea_lab.core import linear_function
-
     exp = Experiment(
         function=linear_function([1.0, 2.0, 1.0]),
         algorithm=one_plus_one_config(3),
