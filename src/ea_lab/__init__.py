@@ -22,6 +22,7 @@ from .core import (
     BlockSpec,
     FitnessFunction,
     MutationParams,
+    OneBitFlip,
     RngStream,
     UnitationSpec,
     evaluate,
@@ -48,6 +49,7 @@ __all__ = [
     "Experiment",
     "FitnessFunction",
     "MutationParams",
+    "OneBitFlip",
     "RngStream",
     "RunTrace",
     "StartPolicy",

@@ -5,8 +5,9 @@ Runtime is counted in fitness evaluations including the initial
 population, so the initial evaluation can already hit the optimum.
 On a unitation function the zeros-count of each individual is a
 sufficient statistic, so runs there are simulated on levels, from the
-same mutation-kernel rows as the exact oracle; generic objectives are
-simulated bit by bit.
+kernel rows of the configured mutation operator, the rows the exact oracle
+uses; generic objectives are simulated bit by bit, with the operator's
+flip masks.
 
 - RLS and the (1+1) EA on levels use a jump-chain sampler: it draws how
   long the run stays on a level and where it moves next, so a run costs
@@ -32,13 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    Bitstring,
     DomainError,
     FitnessFunction,
+    Mutation,
     MutationParams,
+    OneBitFlip,
     UnitationSpec,
     flip_count_pmf_table,
-    mutation_kernel_row,
 )
 
 _BATCH = 256
@@ -62,7 +63,7 @@ class TieBreak(Enum):
 @dataclass(frozen=True)
 class AlgorithmConfig:
     kind: AlgorithmKind
-    mutation: MutationParams
+    mutation: Mutation
     mu: int = 1
     lam: int = 1
     tie_break: TieBreak = TieBreak.PREFER_OFFSPRING
@@ -70,6 +71,8 @@ class AlgorithmConfig:
     def __post_init__(self) -> None:
         if self.mu < 1 or self.lam < 1:
             raise DomainError("mu and lambda must be positive")
+        if (self.kind is AlgorithmKind.RLS) != isinstance(self.mutation, OneBitFlip):
+            raise DomainError("RLS, and only RLS, mutates by OneBitFlip")
         if self.kind in _SINGLE_KINDS:
             if self.mu != 1 or self.lam != 1:
                 raise DomainError(f"{self.kind.value} forces mu = lambda = 1")
@@ -131,15 +134,15 @@ class _JumpChain:
     each table as short as the mutation's effective support.
     """
 
-    def __init__(self, spec: UnitationSpec, rate: float | None):
-        self.n, self.table, self.rate = spec.n, spec.value_table, rate
+    def __init__(self, spec: UnitationSpec, mutation: Mutation):
+        self.table, self.mutation = spec.value_table, mutation
         self.values = spec.value_table.tolist()
         self.levels: dict[int, tuple] = {}
 
     def level(self, z: int) -> tuple:
         entry = self.levels.get(z)
         if entry is None:
-            lo, probs = mutation_kernel_row(self.n, z, self.rate)
+            lo, probs = self.mutation.kernel_row(z)
             hi = lo + probs.size
             accepted = self.table[lo:hi] >= self.table[z]
             if lo <= z < hi:
@@ -164,15 +167,15 @@ _cached_jump_chain = functools.lru_cache(maxsize=16)(_JumpChain)
 _last_jump_chain: tuple = (None, None, None)
 
 
-def _jump_chain(spec: UnitationSpec, rate: float | None) -> _JumpChain:
-    """The cached chain of ``spec`` under ``rate``.  The runs of a batch
-    share one spec object, so the last request is matched by identity,
-    without hashing the spec."""
+def _jump_chain(spec: UnitationSpec, mutation: Mutation) -> _JumpChain:
+    """The cached chain of ``spec`` under ``mutation``.  The runs of a
+    batch share one spec and one operator object, so the last request is
+    matched by identity, without hashing them."""
     global _last_jump_chain
-    last_spec, last_rate, chain = _last_jump_chain
-    if last_spec is not spec or last_rate != rate:
-        chain = _cached_jump_chain(spec, rate)
-        _last_jump_chain = (spec, rate, chain)
+    last_spec, last_mutation, chain = _last_jump_chain
+    if last_spec is not spec or last_mutation is not mutation:
+        chain = _cached_jump_chain(spec, mutation)
+        _last_jump_chain = (spec, mutation, chain)
     return chain
 
 
@@ -195,7 +198,7 @@ def _run_single_level(
     Uniforms are drawn in batches that double from 16 to ``_BATCH``, so a
     short run draws few that it does not use; consecutive batches continue
     one stream, so the sizes do not change the uniforms a run sees."""
-    chain = _jump_chain(spec, None if cfg.kind is AlgorithmKind.RLS else cfg.mutation.rate)
+    chain = _jump_chain(spec, cfg.mutation)
     values, levels = chain.values, chain.levels
     max_evals = budget.max_evaluations
 
@@ -245,47 +248,31 @@ def _run_single_level(
 
 
 def _run_single_bits(
-    f: FitnessFunction,
-    cfg: AlgorithmConfig,
+    rep: _Bits,
     budget: Budget,
     rng: np.random.Generator,
     start_zeros: int | None,
     target: float,
 ) -> RunTrace:
-    n = f.n
     max_evals = budget.max_evaluations
-    p = cfg.mutation.rate
-    is_rls = cfg.kind is AlgorithmKind.RLS
-
-    if start_zeros is None:
-        x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    else:
-        x = np.ones(n, dtype=np.uint8)
-        x[rng.choice(n, size=int(start_zeros), replace=False)] = 0
-    fx = float(f.fn(x))
+    pop, fit = rep.init(rng, 1, start_zeros)
+    x, fx = pop[0], float(fit[0])
     evals = 1
     best = fx
     history = [(1, best)]
     hit = 1 if best >= target else None
 
     while hit is None and evals < max_evals:
-        if is_rls:
-            positions = rng.integers(0, n, _BATCH)
-        else:
-            masks = (rng.random((_BATCH, n)) < p).view(np.uint8)
-            flips = masks.any(axis=1).tolist()
+        masks = rep.mutation.masks(rng, _BATCH)
+        flips = masks.any(axis=1).tolist()
         for i in range(_BATCH):
             if evals >= max_evals:
                 break
             evals += 1
-            if is_rls:
-                y = x.copy()
-                y[positions[i]] ^= 1
-            elif flips[i]:
-                y = x ^ masks[i]
-            else:
+            if not flips[i]:
                 continue  # an offspring that flips no bit is a copy of x, fitness fx
-            fy = float(f.fn(y))
+            y = x ^ masks[i]
+            fy = float(rep.fn(y))
             if fy > best:
                 best = fy
                 history.append((evals, fy))
@@ -363,8 +350,8 @@ class _Levels:
     first) to count; a *class* is a run of positions of equal fitness.
     One generation draws the parents' levels as one multinomial over the
     parent histogram, and each occupied parent level's offspring as one
-    multinomial over its row of ``core.mutation_kernel_row``, the row the
-    exact oracle and the jump chain use.  Truncation keeps the best
+    multinomial over its row of the mutation operator's ``kernel_row``, the
+    row the exact oracle and the jump chain use.  Truncation keeps the best
     classes; where it cuts a class of several levels, the kept
     individuals are a multivariate hypergeometric draw.
 
@@ -378,8 +365,7 @@ class _Levels:
     """
 
     def __init__(self, spec: UnitationSpec, cfg: AlgorithmConfig):
-        self.n, self.rate = spec.n, cfg.mutation.rate
-        self.mu, self.lam = cfg.mu, cfg.lam
+        self.mutation, self.mu, self.lam = cfg.mutation, cfg.mu, cfg.lam
         self.uniform = cfg.tie_break is TieBreak.UNIFORM_RANDOM
         self.rank = np.argsort(-spec.value_table, kind="stable")
         self.position = np.argsort(self.rank)
@@ -404,7 +390,7 @@ class _Levels:
         the offspring."""
         entry = self.rows.get(pos)
         if entry is None:
-            lo, probs = mutation_kernel_row(self.n, int(self.rank[pos]), self.rate)
+            lo, probs = self.mutation.kernel_row(int(self.rank[pos]))
             order = np.argsort(-probs, kind="stable")
             entry = self.rows[pos] = (self.position[lo + order].tolist(), probs[order])
         return entry
@@ -551,10 +537,11 @@ def _levels(spec: UnitationSpec, cfg: AlgorithmConfig) -> _Levels:
 class _Bits:
     """A population of bitstrings, one row each, of a generic objective;
     a batch and a population are both ``(bits, fitness)`` arrays in
-    evaluation or rank order."""
+    evaluation or rank order.  The single-individual bit path draws its
+    start point with ``init`` and its flips with ``mutation``."""
 
     def __init__(self, f: FitnessFunction, cfg: AlgorithmConfig):
-        self.n, self.fn, self.rate = f.n, f.fn, cfg.mutation.rate
+        self.n, self.fn, self.mutation = f.n, f.fn, cfg.mutation
         self.mu, self.lam = cfg.mu, cfg.lam
         self.uniform = cfg.tie_break is TieBreak.UNIFORM_RANDOM
 
@@ -586,7 +573,7 @@ class _Bits:
 
     def breed(self, parents, rng):
         chosen = parents[0][rng.integers(0, self.mu, size=self.lam)]
-        return self._evaluated(chosen ^ (rng.random(chosen.shape) < self.rate).astype(np.uint8))
+        return self._evaluated(chosen ^ self.mutation.masks(rng, self.lam))
 
     def survivors(self, off, pop, rng):
         combined = np.concatenate([off[0], pop[0]])  # offspring first on ties
@@ -684,7 +671,7 @@ def run_algorithm(
     if cfg.kind in _SINGLE_KINDS:
         if levels:
             return _run_single_level(f, cfg, budget, rng, start_zeros, target, trans)
-        return _run_single_bits(f, cfg, budget, rng, start_zeros, target)
+        return _run_single_bits(_Bits(f, cfg), budget, rng, start_zeros, target)
     rep = _levels(f, cfg) if levels else _Bits(f, cfg)
     return _run_population(rep, cfg, budget, rng, start_zeros, target, trans)
 
@@ -697,7 +684,7 @@ def uses_jump_chain(f: UnitationSpec | FitnessFunction, cfg: AlgorithmConfig) ->
 
 
 def rls_config(n: int) -> AlgorithmConfig:
-    return AlgorithmConfig(AlgorithmKind.RLS, MutationParams(n=n, chi=1.0))
+    return AlgorithmConfig(AlgorithmKind.RLS, OneBitFlip(n))
 
 
 def one_plus_one_config(n: int, chi: float = 1.0) -> AlgorithmConfig:

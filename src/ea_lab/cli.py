@@ -46,7 +46,7 @@ from . import bounds as bnd
 from . import core, empirics, oracle
 from .algorithms import AlgorithmConfig, AlgorithmKind, Budget, TieBreak, uses_jump_chain
 from .bounds import BoundReport, Direction
-from .core import FitnessFunction, MutationParams, UnitationSpec
+from .core import FitnessFunction, MutationParams, OneBitFlip, UnitationSpec
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -133,10 +133,14 @@ def build_function(fn_cfg: dict, n_override: int | None = None):
 
 
 def build_algorithm(alg_cfg: dict, n: int) -> AlgorithmConfig:
+    kind = AlgorithmKind(alg_cfg["kind"])
+    if kind is AlgorithmKind.RLS and "chi" in alg_cfg:
+        raise ConfigError("RLS flips exactly one bit and takes no 'chi'")
     try:
         return AlgorithmConfig(
-            kind=AlgorithmKind(alg_cfg["kind"]),
-            mutation=MutationParams(n=n, chi=float(alg_cfg.get("chi", 1.0))),
+            kind=kind,
+            mutation=(OneBitFlip(n) if kind is AlgorithmKind.RLS
+                      else MutationParams(n=n, chi=float(alg_cfg.get("chi", 1.0)))),
             mu=int(alg_cfg.get("mu", 1)),
             lam=int(alg_cfg.get("lambda", 1)),
             tie_break=TieBreak(alg_cfg.get("tie_break", "PreferOffspring")),
@@ -560,8 +564,7 @@ def cmd_run(args) -> int:
     batch, rows, record = _run_point(cfg, build_experiment(cfg), workers)
     summary = {"schema_version": cfg["schema_version"], "config": cfg, **record}
     write_json_atomic(os.path.join(args.out, "summary.json"), summary)
-    lines = [empirics.SAMPLE_HEADER] + [r.to_line() for r in batch.records]
-    write_atomic(os.path.join(args.out, "samples.csv"), "\n".join(lines) + "\n")
+    write_atomic(os.path.join(args.out, "samples.csv"), empirics.samples_csv(batch.records))
     write_atomic(os.path.join(args.out, "comparison.csv"), comparison_csv(rows))
 
     if not args.quiet:

@@ -1,6 +1,7 @@
-"""Search-space primitives: bitstrings, seeded randomness, standard bit
-mutation, binomial flip-count formulas, the mutation-kernel row over
-zeros-count levels, and the unitation test-function composer.
+"""Search-space primitives: bitstrings, seeded randomness, the mutation
+operators, binomial flip-count formulas and the unitation test-function
+composer.  A mutation operator's ``kernel_row`` feeds the exact level
+chain and the level samplers; its ``masks`` are the flips of bit runs.
 
 Unitation functions are described by an ordered list of blocks (linear,
 gap, plateau) scanned from the all-zeros bitstring towards the all-ones
@@ -196,15 +197,6 @@ class Bitstring:
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
-    @classmethod
-    def _trusted(cls, bits: np.ndarray) -> "Bitstring":
-        """Wrap a 1-d uint8 array of 0/1 values without checking it; for
-        results that are valid by construction."""
-        obj = object.__new__(cls)
-        bits.setflags(write=False)
-        object.__setattr__(obj, "bits", bits)
-        return obj
-
     def __setattr__(self, name, value):
         raise AttributeError("Bitstring is immutable")
 
@@ -255,7 +247,7 @@ class Bitstring:
 
 @dataclass(frozen=True)
 class MutationParams:
-    """Standard bit mutation parameters: per-bit flip rate is ``chi / n``."""
+    """Standard bit mutation: each bit flips with probability ``chi / n``."""
 
     n: int
     chi: float = 1.0
@@ -270,6 +262,61 @@ class MutationParams:
     def rate(self) -> float:
         return self.chi / self.n
 
+    def kernel_row(self, z: int) -> tuple[int, np.ndarray]:
+        """Mutation-kernel row of zeros-count level ``z`` as ``(lo, probs)``:
+        ``probs[i]`` is the probability that the offspring has ``lo + i``
+        zeros.  Selection plays no part.
+
+        The offspring flips Bin(z, rate) zero-bits and Bin(n - z, rate)
+        one-bits, so the row is the convolution of the first pmf, reversed,
+        with the second.  Both pmfs cover only the flip counts of non-zero
+        probability, which keeps the row banded when n is large.
+        """
+        n, rate = self.n, self.rate
+        if not 0 <= z <= n:
+            raise DomainError("zeros-count out of range")
+        lo0, zero_flips = _binomial_support(z, rate, n)
+        lo1, one_flips = _binomial_support(n - z, rate, n)
+        # Scaling both factors by 2^500 (exact) keeps their products out of
+        # the subnormal range, where floating-point arithmetic is many times
+        # slower; the row sums to at most 1, so the scaled sums cannot overflow.
+        row = np.convolve(np.ldexp(zero_flips[::-1], 500), np.ldexp(one_flips, 500))
+        return z - (lo0 + zero_flips.size - 1) + lo1, np.ldexp(row, -1000)
+
+    def masks(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` flip masks, a ``(count, n)`` uint8 array of 0/1 rows."""
+        return (rng.random((count, self.n)) < self.rate).view(np.uint8)
+
+
+@dataclass(frozen=True)
+class OneBitFlip:
+    """The mutation of RLS: flip one bit, chosen uniformly at random."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DomainError("n must be positive")
+
+    def kernel_row(self, z: int) -> tuple[int, np.ndarray]:
+        """As :meth:`MutationParams.kernel_row`: z - 1 zeros with probability z / n, else z + 1."""
+        n = self.n
+        if not 0 <= z <= n:
+            raise DomainError("zeros-count out of range")
+        lo, probs = z - 1, np.array([z / n, 0.0, (n - z) / n])
+        if z == 0:
+            lo, probs = 0, probs[1:]
+        return lo, probs[:-1] if z == n else probs
+
+    def masks(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` flip masks, each row one-hot at a uniform position."""
+        masks = np.zeros((count, self.n), dtype=np.uint8)
+        masks[np.arange(count), rng.integers(0, self.n, count)] = 1
+        return masks
+
+
+Mutation = MutationParams | OneBitFlip
+
 
 def standard_bit_mutation(
     x: Bitstring, p: MutationParams, rng: np.random.Generator
@@ -277,9 +324,7 @@ def standard_bit_mutation(
     """Flip each bit of ``x`` independently with probability ``p.rate``."""
     if p.n != x.n:
         raise DimensionError("mutation parameters sized for a different n")
-    mask = rng.random(x.n) < p.rate
-    # The XOR of two 0/1 arrays is a valid bitstring: skip the checks.
-    return Bitstring._trusted(x.bits ^ mask.view(np.uint8))
+    return Bitstring(x.bits ^ p.masks(rng, 1)[0])
 
 
 def flip_count_pmf(n: int, p: float, j: int) -> float:
@@ -296,7 +341,7 @@ def flip_count_pmf_table(n: int, p: float) -> np.ndarray:
     The log-ratios log P(j + 1) / P(j) are summed outwards from the mode
     and the table is normalised, so an entry k counts from the mode is
     accurate to about k ulps and the table sums to 1.  (The log-gamma
-    formula of :func:`mutation_kernel_row` cancels terms of size n log n
+    formula of :meth:`MutationParams.kernel_row` cancels terms of size n log n
     and loses up to ~1e-12 relative accuracy at n near 1000.)
     """
     if not 0 <= p <= 1:
@@ -347,34 +392,6 @@ def _binomial_support(m: int, p: float, n: int) -> tuple[int, np.ndarray]:
     pmf = np.exp(log_pmf(np.arange(ends[0], ends[1] + 1)))
     nonzero = np.flatnonzero(pmf)
     return ends[0] + int(nonzero[0]), pmf[nonzero[0] : nonzero[-1] + 1]
-
-
-def mutation_kernel_row(n: int, z: int, rate: float | None) -> tuple[int, np.ndarray]:
-    """Mutation-kernel row of zeros-count level ``z`` as ``(lo, probs)``:
-    ``probs[i]`` is the probability that the offspring has ``lo + i``
-    zeros.  Selection plays no part.
-
-    ``rate`` is the per-bit flip rate of standard bit mutation, or None
-    for RLS, which flips one uniformly chosen bit.  Standard bit mutation
-    flips Bin(z, rate) zero-bits and Bin(n - z, rate) one-bits, so the
-    row is the convolution of the first pmf, reversed, with the second.
-    Both pmfs cover only the flip counts of non-zero probability, which
-    keeps the row banded when n is large.
-    """
-    if not 0 <= z <= n:
-        raise DomainError("zeros-count out of range")
-    if rate is None:
-        lo, probs = z - 1, np.array([z / n, 0.0, (n - z) / n])
-        if z == 0:
-            lo, probs = 0, probs[1:]
-        return lo, probs[:-1] if z == n else probs
-    lo0, zero_flips = _binomial_support(z, rate, n)
-    lo1, one_flips = _binomial_support(n - z, rate, n)
-    # Scaling both factors by 2^500 (exact) keeps their products out of
-    # the subnormal range, where floating-point arithmetic is many times
-    # slower; the row sums to at most 1, so the scaled sums cannot overflow.
-    row = np.convolve(np.ldexp(zero_flips[::-1], 500), np.ldexp(one_flips, 500))
-    return z - (lo0 + zero_flips.size - 1) + lo1, np.ldexp(row, -1000)
 
 
 # ---------------------------------------------------------------------------

@@ -235,13 +235,13 @@ def run_batch(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, chunk_args))
 
+    # The chunks hold ascending run ids, and pool.map keeps their order.
     records: list[RunRecord] = []
     transitions = None
     for recs, trans in results:
         records.extend(recs)
         if trans is not None:
             transitions = trans if transitions is None else transitions + trans
-    records.sort(key=lambda r: r.run_id)
     return BatchResult(
         summary=summarize(records, exp.budget.max_evaluations),
         records=records,
@@ -249,11 +249,9 @@ def run_batch(
     )
 
 
-def write_samples(records: list[RunRecord], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.to_line() + "\n")
+def samples_csv(records: list[RunRecord]) -> str:
+    """The text of ``samples.csv``: the header, then one line per record."""
+    return "\n".join([SAMPLE_HEADER] + [rec.to_line() for rec in records]) + "\n"
 
 
 def read_samples(path) -> list[RunRecord]:

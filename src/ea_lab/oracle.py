@@ -8,12 +8,13 @@ hitting times, success probabilities and exact drift values computed
 here are the ground truth that both the closed-form bounds and the
 Monte Carlo estimates are checked against.
 
-The chain's mutation kernel is built from
-:func:`~ea_lab.core.mutation_kernel_row`, the row that also drives the
-level sampler in :mod:`ea_lab.algorithms`.  The sampler jumps from level
-to level with the chain's accepted moves, so a simulated run costs
-O(level changes), while the exact quantities here cost O(n^2) to build
-and O(n^3) to solve.
+The chain's mutation kernel is built from the ``kernel_row`` of the
+mutation operator (:class:`~ea_lab.core.OneBitFlip` for RLS,
+:class:`~ea_lab.core.MutationParams` for the (1+1) EA), the row that also
+drives the level sampler in :mod:`ea_lab.algorithms`.  The sampler jumps
+from level to level with the chain's accepted moves, so a simulated run
+costs O(level changes), while the exact quantities here cost O(n^2) to
+build and O(n^3) to solve.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve
 
+from .algorithms import AlgorithmConfig, AlgorithmKind
 from .core import (
-    DomainError,
-    MutationParams,
-    UnitationSpec,
-    flip_count_pmf_table,
-    mutation_kernel_row,
+    DomainError, Mutation, MutationParams, OneBitFlip, UnitationSpec, flip_count_pmf_table
 )
 
 ROW_SUM_TOL = 1e-12
@@ -53,21 +51,12 @@ class LevelChain:
     absorbing: np.ndarray  # boolean mask over levels
 
 
-def _mutation_kernel(n: int, rate: float | None) -> np.ndarray:
-    """Raw mutation kernel over zeros-counts, one
-    :func:`~ea_lab.core.mutation_kernel_row` per level (``rate`` None is
-    RLS)."""
-    kernel = np.zeros((n + 1, n + 1))
-    for z in range(n + 1):
-        lo, probs = mutation_kernel_row(n, z, rate)
-        kernel[z, lo : lo + probs.size] = probs
-        # Fold the tiny summation residual into the self-loop.
-        kernel[z, z] += 1.0 - kernel[z].sum()
-    return kernel
+_DEFAULT_MUTATION = {"RLS": OneBitFlip, "OnePlusOneEA": MutationParams}
 
 
-def build_level_chain(spec: UnitationSpec, kind: str, mutation: MutationParams | None = None) -> LevelChain:
-    """Exact level chain for RLS or the (1+1) EA on ``spec``.
+def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None = None) -> LevelChain:
+    """Exact level chain for RLS or the (1+1) EA on ``spec`` under
+    ``mutation``, by default the kind's operator at chi = 1.
 
     Selection accepts offspring of fitness greater than or equal to the
     parent fitness (the (1+1) EA tie rule); rejected mass goes to the
@@ -75,16 +64,19 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: MutationParams |
     """
     n = spec.n
     table = spec.value_table
-    if kind == "RLS":
-        kernel = _mutation_kernel(n, None)
-    elif kind == "OnePlusOneEA":
-        if mutation is None:
-            mutation = MutationParams(n=n, chi=1.0)
-        if mutation.n != n:
-            raise DomainError("mutation parameters sized for a different n")
-        kernel = _mutation_kernel(n, mutation.rate)
-    else:
+    if kind not in _DEFAULT_MUTATION:
         raise DomainError(f"unsupported algorithm kind for oracle: {kind}")
+    if mutation is None:
+        mutation = _DEFAULT_MUTATION[kind](n)
+    AlgorithmConfig(AlgorithmKind(kind), mutation)  # checks that the kind takes it
+    if mutation.n != n:
+        raise DomainError("mutation parameters sized for a different n")
+    kernel = np.zeros((n + 1, n + 1))
+    for z in range(n + 1):
+        lo, probs = mutation.kernel_row(z)
+        kernel[z, lo : lo + probs.size] = probs
+        # Fold the tiny summation residual into the self-loop.
+        kernel[z, z] += 1.0 - kernel[z].sum()
 
     absorbing = table == table.max()
     accept = table[None, :] >= table[:, None]

@@ -26,6 +26,7 @@ from ea_lab.algorithms import (
 from ea_lab.core import (
     DomainError,
     MutationParams,
+    OneBitFlip,
     RngStream,
     gap_function,
     linear_function,
@@ -51,10 +52,19 @@ def _rng(seed=0, stream=0):
 
 
 def test_single_individual_kinds_force_trivial_population():
-    with pytest.raises(DomainError):
-        AlgorithmConfig(AlgorithmKind.RLS, MutationParams(10), mu=2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="forces mu = lambda = 1"):
+        AlgorithmConfig(AlgorithmKind.RLS, OneBitFlip(10), mu=2)
+    with pytest.raises(DomainError, match="forces mu = lambda = 1"):
         AlgorithmConfig(AlgorithmKind.ONE_PLUS_ONE_EA, MutationParams(10), lam=3)
+
+
+@pytest.mark.parametrize("kind", list(AlgorithmKind))
+def test_only_rls_mutates_by_one_bit_flip(kind):
+    rls = kind is AlgorithmKind.RLS
+    wrong = MutationParams(10) if rls else OneBitFlip(10)
+    with pytest.raises(DomainError, match="only RLS"):
+        AlgorithmConfig(kind, wrong)
+    AlgorithmConfig(kind, OneBitFlip(10) if rls else MutationParams(10))
 
 
 def test_comma_requires_lambda_at_least_mu():
@@ -355,18 +365,21 @@ def _exact_cdf(chain, start, ts):
 
 
 @pytest.mark.parametrize(
-    "spec, kind, chi, zeros, budget, runs",
+    "spec, kind, mutation, zeros, budget, runs",
     [
-        (gap_function(40, 3, 1), AlgorithmKind.ONE_PLUS_ONE_EA, 1.0, 4, 200_000, 4_000),
+        (gap_function(40, 3, 1), AlgorithmKind.ONE_PLUS_ONE_EA, MutationParams(40, 1.0), 4,
+         200_000, 4_000),
         # Every needle offspring is accepted, so a run makes ~800 level changes.
-        (needle(10), AlgorithmKind.ONE_PLUS_ONE_EA, 2.0, None, 20_000, 1_000),
-        (plateau_function(30, 5, 10), AlgorithmKind.RLS, 1.0, None, 3_000, 4_000),
+        (needle(10), AlgorithmKind.ONE_PLUS_ONE_EA, MutationParams(10, 2.0), None,
+         20_000, 1_000),
+        (plateau_function(30, 5, 10), AlgorithmKind.RLS, OneBitFlip(30), None,
+         3_000, 4_000),
     ],
     ids=["gap-from-block-start", "needle-chi-2", "rls-plateau"],
 )
-def test_level_sampler_cdf_within_dkw_band(spec, kind, chi, zeros, budget, runs):
+def test_level_sampler_cdf_within_dkw_band(spec, kind, mutation, zeros, budget, runs):
     alpha = 1e-3
-    cfg = AlgorithmConfig(kind, MutationParams(spec.n, chi))
+    cfg = AlgorithmConfig(kind, mutation)
     start = StartPolicy.uniform() if zeros is None else StartPolicy.fixed(zeros)
     summary = run_batch(Experiment(spec, cfg, runs, 23, Budget(budget), start)).summary
     chain = build_level_chain(spec, kind.value, cfg.mutation)

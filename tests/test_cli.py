@@ -162,6 +162,19 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bounds"])
+@pytest.mark.parametrize("chi", [7, 12])
+def test_rls_chi_is_a_config_error(tmp_path, capsys, command, chi):
+    # RLS flips one bit; a chi for it is a mistake, not a setting to ignore.
+    cfg = _write_config(tmp_path, function={"family": "onemax", "n": 10},
+                        algorithm={"kind": "RLS", "chi": chi})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: RLS flips exactly one bit and takes no 'chi'\n"
+    assert not (out / "summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -433,17 +446,19 @@ def test_bound_errors_stop_before_simulation(tmp_path, monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
-# samples.csv of small fixed-seed runs on the population and bit paths,
-# pinned so that refactoring the runners cannot change a single draw.  The
-# three level hashes were re-recorded when the level populations became
-# histograms, which changes every draw; the distribution tests in
-# test_algorithms.py check those against the per-offspring sampler.
+# samples.csv of small fixed-seed runs on the single-individual level,
+# population and bit paths, pinned so that refactoring the runners cannot
+# change a single draw.  The three population level hashes were re-recorded
+# when the level populations became histograms, which changes every draw;
+# the distribution tests in test_algorithms.py check those against the
+# per-offspring sampler.
 _W = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
 _PLUS = {"kind": "MuPlusLambdaEA", "mu": 3, "lambda": 6}
 _PLUS_UNIFORM = dict(_PLUS, tie_break="UniformRandom")
 _COMMA = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
 _ONEMAX = {"family": "onemax", "n": 10}
 _LINEAR = {"family": "linear", "weights": _W}
+_PLATEAU_FN = {"family": "plateau", "n": 20, "m": 4, "k": 12}
 
 
 @pytest.mark.parametrize(
@@ -461,9 +476,16 @@ _LINEAR = {"family": "linear", "weights": _W}
          "301ee30a2d30f84deca9c34c7b41acfef5bb914890d034234f69c4f419d5b051"),
         (_LINEAR, _COMMA, 5,
          "908fece9a9a7c776c578e773feb847d250454821297511b8972b18d5f6c33840"),
+        (_PLATEAU_FN, {"kind": "RLS"}, None,
+         "818201740ab8ff6d0245500794e09a28459aa4f08b95500c8f142b91f19308dc"),
+        (_ONEMAX, {"kind": "OnePlusOneEA", "chi": 2.5}, 7,
+         "54ee0e271a7e295e8822f3f4d826a48e55ab80665ffc10b41743282111540d5d"),
+        (_LINEAR, {"kind": "RLS"}, None,
+         "b45182f4992251e202a336eb3d75b70783ff9c51d4a07d842db4875d75edaaea"),
     ],
     ids=["plus-levels-forced", "plus-uniform-levels", "comma-levels",
-         "one-plus-one-bits", "plus-uniform-bits", "comma-bits-forced"],
+         "one-plus-one-bits", "plus-uniform-bits", "comma-bits-forced",
+         "rls-plateau-levels", "one-plus-one-chi-levels-forced", "rls-bits"],
 )
 def test_samples_are_pinned(tmp_path, function, algorithm, zeros, digest):
     extra = {} if zeros is None else {"start": {"policy": "FixedZeros", "zeros": zeros}}
@@ -485,7 +507,6 @@ _ONEMAX_DRIFT = [{"id": "multiplicative_drift_onemax"}, {"id": "variable_drift_o
 _MK = {"m": 3, "k": 4}
 _EA_15 = {"kind": "OnePlusOneEA", "chi": 1.5}
 _GAP_FN = {"family": "gap", "n": 12, "m": 2, "k": 3}
-_PLATEAU_FN = {"family": "plateau", "n": 20, "m": 4, "k": 12}
 _ONEMAX_16 = {"family": "onemax", "n": 16}
 
 

@@ -15,9 +15,11 @@ from ea_lab.core import (
     DimensionError,
     DomainError,
     MutationParams,
+    OneBitFlip,
     RngStream,
     SpecError,
     UnitationSpec,
+    _binomial_support,
     evaluate,
     flip_count_pmf,
     flip_count_pmf_table,
@@ -134,6 +136,53 @@ def test_mutation_dimension_mismatch():
     rng = RngStream(0).generator()
     with pytest.raises(DimensionError):
         standard_bit_mutation(Bitstring.all_ones(5), MutationParams(n=6), rng)
+
+
+def _reference_kernel_row(n, z, rate):
+    """The mutation-kernel row of both operators from one function,
+    ``rate`` None standing for RLS: the reference that each operator's
+    ``kernel_row`` must equal exactly."""
+    if rate is None:
+        lo, probs = z - 1, np.array([z / n, 0.0, (n - z) / n])
+        if z == 0:
+            lo, probs = 0, probs[1:]
+        return lo, probs[:-1] if z == n else probs
+    lo0, zero_flips = _binomial_support(z, rate, n)
+    lo1, one_flips = _binomial_support(n - z, rate, n)
+    row = np.convolve(np.ldexp(zero_flips[::-1], 500), np.ldexp(one_flips, 500))
+    return z - (lo0 + zero_flips.size - 1) + lo1, np.ldexp(row, -1000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 512])
+def test_operator_kernel_rows_equal_reference(n):
+    operators = [(OneBitFlip(n), None)] + [
+        (MutationParams(n, chi), chi / n) for chi in (0.5, 1.0, 2.5) if chi < n
+    ]
+    for op, rate in operators:
+        for z in range(n + 1):
+            lo, probs = op.kernel_row(z)
+            ref_lo, ref_probs = _reference_kernel_row(n, z, rate)
+            assert lo == ref_lo and np.array_equal(probs, ref_probs), (op, z)
+        for z in (-1, n + 1):
+            with pytest.raises(DomainError):
+                op.kernel_row(z)
+
+
+def test_operator_masks():
+    n, count = 13, 500
+    masks = OneBitFlip(n).masks(RngStream(3).generator(), count)
+    assert masks.dtype == np.uint8 and masks.shape == (count, n)
+    assert np.all(masks.sum(axis=1) == 1)
+    assert np.all(masks.sum(axis=0) > 0)  # every position gets picked
+    for chi in (0.5, 1.0, 2.5):
+        masks = MutationParams(n, chi).masks(RngStream(4).generator(), count)
+        twin = RngStream(4).generator().random((count, n)) < chi / n
+        assert masks.dtype == np.uint8 and np.array_equal(masks, twin)
+
+
+def test_one_bit_flip_domain():
+    with pytest.raises(DomainError):
+        OneBitFlip(0)
 
 
 def test_flip_count_pmf_edge_cases():

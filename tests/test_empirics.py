@@ -32,9 +32,9 @@ from ea_lab.empirics import (
     estimate_drift,
     read_samples,
     run_batch,
+    samples_csv,
     summarize,
     wilson_interval,
-    write_samples,
 )
 from ea_lab.oracle import build_level_chain, exact_drift
 
@@ -232,7 +232,7 @@ def test_run_count_must_be_positive():
 def test_samples_roundtrip(tmp_path):
     batch = run_batch(_exp(runs=30))
     path = tmp_path / "samples.csv"
-    write_samples(batch.records, path)
+    path.write_text(samples_csv(batch.records))
     again = read_samples(path)
     assert again == batch.records
 

@@ -18,6 +18,7 @@ from scipy.special import gammaln
 from ea_lab.core import (
     DomainError,
     MutationParams,
+    OneBitFlip,
     gap_function,
     needle,
     onemax,
@@ -133,6 +134,19 @@ def test_rls_kernel_matches_closed_form(n):
 def test_unknown_kind_rejected():
     with pytest.raises(DomainError):
         build_level_chain(onemax(4), "SimulatedAnnealing")
+    with pytest.raises(DomainError):
+        build_level_chain(onemax(4), "MuPlusLambdaEA", MutationParams(4))
+
+
+def test_kind_and_mutation_must_match():
+    with pytest.raises(DomainError, match="only RLS"):
+        build_level_chain(onemax(4), "RLS", MutationParams(4))
+    with pytest.raises(DomainError, match="only RLS"):
+        build_level_chain(onemax(4), "OnePlusOneEA", OneBitFlip(4))
+    with pytest.raises(DomainError, match="different n"):
+        build_level_chain(onemax(4), "RLS", OneBitFlip(5))
+    assert np.array_equal(build_level_chain(onemax(4), "RLS", OneBitFlip(4)).P,
+                          build_level_chain(onemax(4), "RLS").P)
 
 
 # ---------------------------------------------------------------------------
