@@ -298,6 +298,12 @@ def _afl_exact_levels(ctx):
     return ctx.level_data
 
 
+def _chi(ctx) -> float:
+    if isinstance(ctx.algorithm.mutation, MutationParams):
+        return ctx.algorithm.mutation.chi
+    raise core.DomainError("needs standard bit mutation")
+
+
 def _eval_afl_exact_upper(ctx, params):
     return bnd.afl_upper(bnd.LevelData(s=_afl_exact_levels(ctx).s_min))
 
@@ -307,7 +313,7 @@ def _eval_afl_exact_lower(ctx, params):
     # Initial-level mass over the non-top fitness levels.
     u = np.array([sum(start[z] for z in level) for level in data.levels[:-1]])
     if ctx.algorithm.kind is AlgorithmKind.ONE_PLUS_ONE_EA:
-        chi = bnd.afl_chi_certificate(ctx.n, ctx.algorithm.mutation.chi)
+        chi = bnd.afl_chi_certificate(ctx.n, _chi(ctx))
     else:
         chi = 1.0  # RLS moves by single levels only
     rep = bnd.afl_lower(bnd.LevelData(s=data.s_max, u=u, chi_afl=chi))
@@ -334,7 +340,7 @@ def _eval_level_based_onemax(ctx, params):
     delta = float(params.get("delta", 0.1))
     mu = ctx.algorithm.mu if ctx.algorithm.kind is AlgorithmKind.MU_COMMA_LAMBDA_EA else None
     return bnd.level_based_bound(bnd.onemax_level_params(
-        ctx.n, ctx.algorithm.mutation.chi, delta, ctx.algorithm.lam, mu=mu
+        ctx.n, _chi(ctx), delta, ctx.algorithm.lam, mu=mu
     ))
 
 
@@ -342,7 +348,7 @@ def _eval_mucommalambda_runtime(ctx, params):
     delta = float(params.get("delta", 0.1))
     const = float(params.get("linear_term_constant", 0.0))
     return bnd.mucommalambda_runtime_bound(
-        ctx.n, ctx.algorithm.mutation.chi, delta, ctx.algorithm.lam, const
+        ctx.n, _chi(ctx), delta, ctx.algorithm.lam, const
     )
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve
 
-from .algorithms import AlgorithmConfig, AlgorithmKind
 from .core import (
     DomainError, Mutation, MutationParams, OneBitFlip, UnitationSpec, flip_count_pmf_table
 )
@@ -68,7 +67,8 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None 
         raise DomainError(f"unsupported algorithm kind for oracle: {kind}")
     if mutation is None:
         mutation = _DEFAULT_MUTATION[kind](n)
-    AlgorithmConfig(AlgorithmKind(kind), mutation)  # checks that the kind takes it
+    if not isinstance(mutation, _DEFAULT_MUTATION[kind]):
+        raise DomainError("RLS, and only RLS, mutates by OneBitFlip")
     if mutation.n != n:
         raise DomainError("mutation parameters sized for a different n")
     kernel = np.zeros((n + 1, n + 1))

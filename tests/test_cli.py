@@ -311,6 +311,23 @@ def test_not_applicable_reports_keep_their_direction(tmp_path, capsys):
     assert all(r["hypotheses_ok"] is None for r in reports)
 
 
+def test_chi_bounds_do_not_apply_to_rls(tmp_path):
+    # Regression: these bounds read chi off RLS's one-bit operator, and
+    # the AttributeError escaped as a traceback.
+    ids = ["level_based_onemax", "mucommalambda_runtime"]
+    cfg = _write_config(tmp_path, algorithm={"kind": "RLS"},
+                        bounds=[{"id": i} for i in ids])
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"]) == EXIT_OK
+    reports = json.loads((out / "summary.json").read_text())["bounds"]
+    assert [r["theorem_id"] for r in reports] == ids
+    for report in reports:
+        assert report["hypotheses_ok"] is None
+        assert report["detail"]["reason"] == "not applicable: needs standard bit mutation"
+    assert main(["bounds", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_BOUND_FAILURE
+
+
 @pytest.mark.parametrize(
     "function, bound, key",
     [({"family": "onemax", "n": 16}, {"id": "markov", "params": {"t": 20}}, "expectation"),
