@@ -432,16 +432,14 @@ def variable_drift_bound(
     elif mode is VariableDriftMode.LOWER_ON_E:
         sign_ok = slope_max <= tol
         direction = Direction.LOWER_ON_E
-    elif mode is VariableDriftMode.TAIL_UPPER_III:
-        if spec.rate is None or t is None:
-            raise DomainError("tail modes need rate and t")
-        sign_ok = slope_min >= spec.rate - tol
-        direction = Direction.TAIL_UPPER
     else:
         if spec.rate is None or t is None:
             raise DomainError("tail modes need rate and t")
-        sign_ok = slope_max <= -spec.rate + tol
         direction = Direction.TAIL_UPPER
+        if mode is VariableDriftMode.TAIL_UPPER_III:
+            sign_ok = slope_min >= spec.rate - tol
+        else:
+            sign_ok = slope_max <= -spec.rate + tol
 
     detail = {"slope_min": slope_min, "slope_max": slope_max}
     if not sign_ok:

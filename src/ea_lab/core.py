@@ -567,32 +567,31 @@ def needle(n: int) -> UnitationSpec:
     return UnitationSpec(n, [gap(n)])
 
 
-def gap_function(n: int, m: int, k: int) -> UnitationSpec:
-    """Leading linear ramp, a gap of length ``m`` ending at position ``k``,
-    and a trailing linear ramp to the optimum."""
+def _ramp_function(n: int, m: int, k: int, middle: Callable[[int], BlockSpec]) -> UnitationSpec:
+    """Leading linear ramp, the block ``middle(m)`` ending at position
+    ``k``, and a trailing linear ramp; errors name the block by
+    ``middle.__name__``."""
     if m + k > n:
-        raise SpecError("gap block requires m + k <= n")
+        raise SpecError(f"{middle.__name__} block requires m + k <= n")
     blocks: list[BlockSpec] = []
     if n - m - k > 0:
         blocks.append(linear(n - m - k))
-    blocks.append(gap(m))
+    blocks.append(middle(m))
     if k > 0:
         blocks.append(linear(k))
     return UnitationSpec(n, blocks)
+
+
+def gap_function(n: int, m: int, k: int) -> UnitationSpec:
+    """Leading linear ramp, a gap of length ``m`` ending at position ``k``,
+    and a trailing linear ramp to the optimum."""
+    return _ramp_function(n, m, k, gap)
 
 
 def plateau_function(n: int, m: int, k: int) -> UnitationSpec:
     """Leading linear ramp, a plateau of length ``m`` ending at position
     ``k``, and a trailing linear ramp to the optimum."""
-    if m + k > n:
-        raise SpecError("plateau block requires m + k <= n")
-    blocks: list[BlockSpec] = []
-    if n - m - k > 0:
-        blocks.append(linear(n - m - k))
-    blocks.append(plateau(m))
-    if k > 0:
-        blocks.append(linear(k))
-    return UnitationSpec(n, blocks)
+    return _ramp_function(n, m, k, plateau)
 
 
 # ---------------------------------------------------------------------------

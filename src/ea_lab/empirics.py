@@ -24,6 +24,7 @@ from .core import DomainError, FitnessFunction, RngStream, UnitationSpec
 SAMPLE_HEADER = "run_id,seed_stream,evaluations,success,best_fitness"
 MIN_VISITS_FOR_DRIFT = 30
 _CI_MIN_RUNS = 100
+_Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 # A process pool costs tens of milliseconds to start, feed and stop.  A
 # jump-chain run costs about _JUMP_RUN_S plus _JUMP_RUN_S_PER_BIT per bit
 # (least-squares fit of the relative error over RLS and the (1+1) EA on
@@ -113,7 +114,7 @@ class RuntimeSummary:
     mean_ci: tuple[float, float] | None = None
 
 
-def wilson_interval(hits: int, total: int, z: float = 1.959963984540054):
+def wilson_interval(hits: int, total: int, z: float = _Z95):
     """Wilson score interval for a binomial proportion."""
     if total <= 0:
         raise DomainError("total must be positive")
@@ -143,7 +144,7 @@ def summarize(records: list[RunRecord], budget: int) -> RuntimeSummary:
     stderr = float(hits.std(ddof=1) / math.sqrt(successes)) if successes > 1 else None
     mean_ci = None
     if runs >= _CI_MIN_RUNS and stderr is not None:
-        mean_ci = (mean - 1.959963984540054 * stderr, mean + 1.959963984540054 * stderr)
+        mean_ci = (mean - _Z95 * stderr, mean + _Z95 * stderr)
     qs = {q: float(np.quantile(hits, q / 100.0)) for q in (5, 25, 75, 95)}
     return RuntimeSummary(
         runs=runs,
@@ -304,7 +305,7 @@ def estimate_drift(
         var = float(np.dot(weights, (decreases - mean) ** 2))
         states.append(i)
         means.append(mean)
-        half_widths.append(1.959963984540054 * math.sqrt(var / visits))
+        half_widths.append(_Z95 * math.sqrt(var / visits))
         visit_counts.append(visits)
     return DriftEstimate(
         distance_id=distance_id,
@@ -359,7 +360,11 @@ def compare(
     rows = [
         ComparisonRow("mean_hit_time", summary.mean, oracle_value, None, "-", None)
     ]
-    slack = 3.0 * summary.stderr if summary.stderr is not None else 0.0
+    if oracle_value is not None:
+        reference, slack = oracle_value, 0.0
+    else:
+        reference = summary.mean
+        slack = 3.0 * summary.stderr if summary.stderr is not None else 0.0
     for rep in reports:
         if not rep.hypotheses_ok:
             rows.append(
@@ -373,21 +378,11 @@ def compare(
                               rep.direction.value, None)
             )
             continue
-        satisfied: bool | None
-        if oracle_value is not None:
-            value = oracle_value
-            if rep.direction is Direction.UPPER_ON_E:
-                satisfied = value <= rep.bound_value
-            else:
-                satisfied = value >= rep.bound_value
-        elif summary.mean is not None:
-            value = summary.mean
-            if rep.direction is Direction.UPPER_ON_E:
-                satisfied = value <= rep.bound_value + slack
-            else:
-                satisfied = value >= rep.bound_value - slack
-        else:
-            satisfied = None
+        satisfied: bool | None = None
+        if reference is not None:
+            satisfied = (reference <= rep.bound_value + slack
+                         if rep.direction is Direction.UPPER_ON_E
+                         else reference >= rep.bound_value - slack)
         rows.append(
             ComparisonRow(rep.theorem_id, summary.mean, oracle_value,
                           rep.bound_value, rep.direction.value, satisfied)

@@ -197,6 +197,14 @@ def exact_success_probability(chain: LevelChain, start: np.ndarray, t: int) -> f
     return float(v[chain.absorbing].sum())
 
 
+def _drift(matrix: np.ndarray, d: np.ndarray, rows) -> np.ndarray:
+    """Expected one-step decrease of ``d`` under ``matrix`` at ``rows``; NaN elsewhere."""
+    drift = np.full(d.size, np.nan)
+    for z in rows:
+        drift[z] = float(np.dot(matrix[z], d[z] - d))
+    return drift
+
+
 def exact_drift(chain: LevelChain, distance) -> np.ndarray:
     """Per-level expected one-step decrease of ``distance``.
 
@@ -207,19 +215,13 @@ def exact_drift(chain: LevelChain, distance) -> np.ndarray:
     d = np.array([float(distance(z)) for z in range(chain.n + 1)])
     if np.any(d[chain.absorbing] != 0.0) or np.any(d[~chain.absorbing] <= 0.0):
         raise DomainError("distance must vanish exactly on absorbing levels")
-    drift = np.full(chain.n + 1, np.nan)
-    for z in np.flatnonzero(~chain.absorbing):
-        drift[z] = float(np.dot(chain.P[z], d[z] - d))
-    return drift
+    return _drift(chain.P, d, np.flatnonzero(~chain.absorbing))
 
 
 def mutation_drift(chain: LevelChain, distance) -> np.ndarray:
     """Like :func:`exact_drift` but on the raw mutation kernel (no selection)."""
     d = np.array([float(distance(z)) for z in range(chain.n + 1)])
-    drift = np.empty(chain.n + 1)
-    for z in range(chain.n + 1):
-        drift[z] = float(np.dot(chain.mutation_kernel[z], d[z] - d))
-    return drift
+    return _drift(chain.mutation_kernel, d, range(chain.n + 1))
 
 
 def jump_tail(chain: LevelChain, z: int, j: int) -> float:

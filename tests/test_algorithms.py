@@ -334,6 +334,25 @@ def test_stuck_rls_is_censored_at_the_budget():
     assert trace.best_fitness_history == [(1, trace.best_fitness)]
 
 
+@pytest.mark.parametrize("make_config", [rls_config, one_plus_one_config],
+                         ids=["rls", "one-plus-one"])
+@pytest.mark.parametrize("max_evals", [300, 257], ids=["mid-batch", "batch-end"])
+def test_censored_bit_path_stops_at_the_budget(make_config, max_evals):
+    # The bit path draws its masks 256 at a time: after the initial
+    # evaluation, a budget of 300 runs out inside the second batch and a
+    # budget of 257 at the end of the first.  The target lies above the
+    # optimum, so every run is censored.
+    f = linear_function([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+    trace = run_algorithm(f, make_config(f.n), Budget(max_evals), _rng(21),
+                          target_fitness=f.optimum_value + 1.0)
+    assert trace.evaluations == max_evals
+    assert trace.hit_time is None and trace.censored
+    evals = [e for e, _ in trace.best_fitness_history]
+    fits = [v for _, v in trace.best_fitness_history]
+    assert evals[0] == 1 and evals[-1] <= max_evals
+    assert evals == sorted(evals) and fits == sorted(fits)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_censored_transition_counts_cover_all_evaluations(seed):
     # A small budget censors the gap jump, and OneMax runs mid-way.

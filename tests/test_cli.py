@@ -214,6 +214,36 @@ def test_sweep_rejects_linear_family(tmp_path):
     assert code == EXIT_ERROR
 
 
+_BLOCKS_FN = {"family": "blocks", "n": 5, "blocks": [{"kind": "linear", "m": 5}]}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("run", {"function": {"family": "linear"}}, "requires 'weights'"),
+        ("run", {"function": {"family": "gap", "n": 10, "m": 2}}, "requires 'm' and 'k'"),
+        ("run", {"function": {"family": "blocks", "n": 5}}, "requires 'blocks'"),
+        ("sweep", {"function": _BLOCKS_FN, "sweep": {"variable": "n", "values": [5]}},
+         "cannot be swept"),
+        ("run", {"start": {"policy": "FixedZeros"}}, "requires 'zeros'"),
+        ("run", {"start": {"policy": "FixedZeros", "zeros": 9}}, "outside 0..8"),
+        ("sweep", {"sweep": {"variable": "n", "values": []}}, "must be non-empty"),
+    ],
+    ids=["linear-weights", "gap-m-k", "blocks-blocks", "blocks-sweep", "zeros-missing",
+         "zeros-above-n", "sweep-empty"],
+)
+def test_inconsistent_config_is_a_clean_error(tmp_path, capsys, command, overrides,
+                                              message):
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # bounds command
 

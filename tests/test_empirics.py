@@ -318,6 +318,28 @@ def test_compare_uses_stderr_slack_without_oracle():
     assert rows[-1].satisfied is True
 
 
+def test_compare_lower_bound_gets_the_stderr_allowance():
+    records = [RunRecord(i, i, t, True, 1.0) for i, t in enumerate([9, 10, 11, 10])]
+    s = summarize(records, budget=100)
+    allowance = 3.0 * s.stderr
+    inside = BoundReport("in", True, Direction.LOWER_ON_E,
+                         bound_value=s.mean + 0.99 * allowance)
+    outside = BoundReport("out", True, Direction.LOWER_ON_E,
+                          bound_value=s.mean + 1.01 * allowance)
+    rows = compare(s, [inside, outside], oracle_value=None)
+    by_id = {r.quantity: r for r in rows}
+    assert by_id["in"].satisfied is True
+    assert by_id["out"].satisfied is False
+
+
+def test_compare_gives_no_verdict_without_oracle_or_hits():
+    s = summarize([RunRecord(i, i, 100, False, 3.0) for i in range(5)], budget=100)
+    upper = BoundReport("u", True, Direction.UPPER_ON_E, bound_value=50.0)
+    lower = BoundReport("l", True, Direction.LOWER_ON_E, bound_value=40.0)
+    rows = compare(s, [upper, lower], oracle_value=None)
+    assert [(r.quantity, r.satisfied) for r in rows[1:]] == [("u", None), ("l", None)]
+
+
 def test_plateau_crossing_uses_target_fitness():
     n, m, k = 30, 4, 20
     spec = plateau_function(n, m, k)
