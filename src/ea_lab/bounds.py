@@ -15,9 +15,8 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import DomainError
+from .core import DomainError, log_gamma
 
 EULER_GAMMA = 0.5772156649015328606
 _HARMONIC_EXACT_LIMIT = 1_000_000
@@ -589,7 +588,7 @@ def gap_block_bounds(n: int, m: int, k: int) -> GapBlockBounds:
     k, from the start of the block."""
     if m < 1 or k < 0 or m + k > n:
         raise DomainError("need m >= 1, k >= 0, m + k <= n")
-    log_binom = float(gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1))
+    log_binom = log_gamma(m + k + 1) - log_gamma(m + 1) - log_gamma(k + 1)
     log_inner_lower = m * math.log(n) - log_binom
     log_inner_upper = log_inner_lower + 1.0
     log_outer_lower = m * (math.log(n * m / (m + k)) - 1.0)

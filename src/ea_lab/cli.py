@@ -52,8 +52,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND_FAILURE = 2
 
-# Oracle computation is cubic in n; above this size it must be requested
-# explicitly in the configuration.
+# The oracle's chain is a dense (n+1) x (n+1) matrix, and its solve is cubic
+# in n on a plateau as wide as the space; above this size it must be
+# requested explicitly in the configuration.
 _ORACLE_AUTO_LIMIT = 512
 
 _NO_CHAIN = "the exact level chain needs RLS or the (1+1) EA on a unitation function"

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import gammaln
 
 
 class DimensionError(ValueError):
@@ -359,14 +358,40 @@ def flip_count_pmf_table(n: int, p: float) -> np.ndarray:
 
 
 # Natural logs below this give 0.0 under exp (the smallest subnormal is
-# e^-744.44); the margin covers lgamma/gammaln rounding differences.
+# e^-744.44); the margin covers rounding in the log-pmf sums, so that no
+# entry that is non-zero under exp falls outside the searched support.
 _LOG_ZERO = -746.0
+
+# Stirling-series coefficients of the Cephes library's lgam.
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def log_gamma(x: int) -> float:
+    """log Gamma(x) for a positive integer ``x``, bit for bit as the Cephes
+    library's ``lgam`` computes it: the log of the factorial below 13,
+    else Stirling's series, whose tail is a degree-4 polynomial in 1/x^2,
+    or degree 2 from x = 1000 on.  (Cephes drops the tail above 10^8,
+    where it is below half an ulp, so that cut-off changes nothing.)"""
+    if x < 13:
+        return math.log(math.factorial(x - 1))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    return q + series / x
 
 
 @functools.lru_cache(maxsize=8)
 def _log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0..n."""
-    return gammaln(np.arange(1, n + 2))
+    return np.array([log_gamma(k) for k in range(1, n + 2)])
 
 
 def _binomial_support(m: int, p: float, n: int) -> tuple[int, np.ndarray]:

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+# np.quantile and np.unique test for masked arrays, and recent numpy imports
+# numpy.ma lazily at that first test, about 15 ms into the first summary of
+# a run.  Importing it here keeps that cost with the import of this module.
+import numpy.ma  # noqa: F401
 
 from .algorithms import AlgorithmConfig, Budget, run_algorithm, uses_jump_chain
 from .bounds import BoundReport, Direction

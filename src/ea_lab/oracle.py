@@ -13,8 +13,15 @@ mutation operator (:class:`~ea_lab.core.OneBitFlip` for RLS,
 :class:`~ea_lab.core.MutationParams` for the (1+1) EA), the row that also
 drives the level sampler in :mod:`ea_lab.algorithms`.  The sampler jumps
 from level to level with the chain's accepted moves, so a simulated run
-costs O(level changes), while the exact quantities here cost O(n^2) to
-build and O(n^3) to solve.
+costs O(level changes), while the chain here costs O(n^2) to build.
+
+Selection is elitist, so the chain never moves to a level of lower
+fitness and the hitting-time system is block-triangular in fitness
+order.  It is solved one fitness class at a time, best class first: a
+class of one level costs one division by that level's leave mass (the
+sum of its off-diagonal accepted moves, accurate even where the
+self-loop rounds to 1), and a plateau class one dense solve of the
+class's size.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
 
 from .core import (
     DomainError, Mutation, MutationParams, OneBitFlip, UnitationSpec, flip_count_pmf_table
@@ -150,15 +156,27 @@ def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarr
         raise DomainError("target set must be non-empty")
     if np.any(chain.absorbing & ~target):
         raise DomainError("an absorbing level outside the target is never left")
-    support = chain.P > 0
+    P = chain.P
+    support = P > 0
     support[target] = False  # the chain stops at its first target visit
     doomed = _can_reach(support, ~_can_reach(support, target))
-    idx = np.flatnonzero(~target & ~doomed)
-    Q = chain.P[np.ix_(idx, idx)]
-    t = solve(np.eye(idx.size) - Q, np.ones(idx.size))
-    out = np.where(doomed, np.inf, 0.0)
-    out[idx] = t
-    return out
+    live = (~target & ~doomed).tolist()
+    # Summed off the diagonal, not 1 - P_zz, which loses s once P_zz rounds to 1.
+    leave = np.where(np.eye(chain.n + 1, dtype=bool), 0.0, P).sum(axis=1)
+    # Target and doomed levels enter as 0: live rows put no mass on doomed ones.
+    t = np.zeros(chain.n + 1)
+    for level in reversed(_fitness_classes(chain.value_table)):
+        idx = [z for z in level if live[z]]
+        # Levels of this class and worse ones still hold 0 here.
+        if len(idx) == 1:
+            z = idx[0]
+            t[z] = (1.0 + P[z] @ t) / leave[z]
+        elif idx:
+            block = -P[np.ix_(idx, idx)]
+            block[np.diag_indices(len(idx))] = leave[idx]
+            t[idx] = np.linalg.solve(block, 1.0 + P[idx] @ t)
+    t[doomed] = np.inf
+    return t
 
 
 def _checked_start(chain: LevelChain, start) -> np.ndarray:
@@ -253,16 +271,22 @@ class FitnessLevelData:
     s_max: np.ndarray
 
 
+def _fitness_classes(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Levels grouped by fitness value: one ascending tuple of levels per
+    distinct value of ``values``, in increasing order of value."""
+    order = np.argsort(values, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(values[order])) + 1).tolist(), values.size]
+    order = order.tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
 def fitness_level_data(chain: LevelChain) -> FitnessLevelData:
     values = chain.value_table
-    distinct = np.unique(values)  # ascending
-    levels = tuple(
-        tuple(int(z) for z in np.flatnonzero(values == v)) for v in distinct
-    )
+    levels = _fitness_classes(values)
     s_min = np.empty(len(levels) - 1)
     s_max = np.empty(len(levels) - 1)
     for i, level in enumerate(levels[:-1]):
-        better = values > distinct[i]
+        better = values > values[level[0]]
         probs = [float(chain.P[z, better].sum()) for z in level]
         s_min[i] = min(probs)
         s_max[i] = max(probs)

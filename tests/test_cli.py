@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ea_lab
 from ea_lab.cli import (
     EXIT_BOUND_FAILURE,
     EXIT_ERROR,
@@ -410,6 +413,31 @@ def test_unreachable_target_gives_infinite_oracle(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["oracle"]["expected_evaluations"] == "inf"
     assert summary["runtime"]["censored"] == 5
+
+
+def test_run_never_imports_scipy(tmp_path):
+    # A fresh interpreter: importing the CLI and a run with the oracle and a
+    # log-gamma bound (the calls that once needed scipy) leave no scipy module.
+    cfg = _write_config(tmp_path, runs=5, oracle=True,
+                        function={"family": "gap", "n": 8, "m": 2, "k": 3},
+                        bounds=[{"id": "gap_inner_lower"}])
+    out = tmp_path / "out"
+    script = (
+        "import json, sys\n"
+        "from ea_lab import cli\n"
+        f"code = cli.main(['run', '--config', {cfg!r}, '--out', {str(out)!r},"
+        " '--threads', '1', '--quiet'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.'))]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ea_lab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [EXIT_OK, []]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["oracle"]["expected_evaluations"] > 0
 
 
 def test_sweep_builds_one_chain_per_point(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from ea_lab.core import (
     Bitstring,
@@ -20,6 +21,7 @@ from ea_lab.core import (
     SpecError,
     UnitationSpec,
     _binomial_support,
+    _log_factorials,
     evaluate,
     flip_count_pmf,
     flip_count_pmf_table,
@@ -27,6 +29,7 @@ from ea_lab.core import (
     gap_function,
     linear,
     linear_function,
+    log_gamma,
     needle,
     onemax,
     plateau,
@@ -206,6 +209,18 @@ def test_no_flip_probability_at_least_inverse_e():
         p0 = flip_count_pmf(n, 1.0 / n, 0)
         assert p0 == pytest.approx((1 - 1 / n) ** n, rel=1e-12)
         assert p0 < 1 / math.e < flip_count_pmf(n, 1.0 / n, 0) / (1 - 1 / n)
+
+
+def test_log_gamma_is_bit_identical_to_gammaln():
+    small = np.arange(1, 100_001)
+    assert np.array_equal([log_gamma(int(x)) for x in small], gammaln(small))
+    large = np.random.default_rng(11).integers(10**6, 10**10, size=2000)
+    assert [log_gamma(int(x)) for x in large] == gammaln(large).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 12, 13, 999, 1000, 512])
+def test_log_factorials_are_bit_identical_to_gammaln(n):
+    assert np.array_equal(_log_factorials(n), gammaln(np.arange(1, n + 2)))
 
 
 # ---------------------------------------------------------------------------

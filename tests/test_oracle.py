@@ -8,6 +8,7 @@ level-space kernel under test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ea_lab.core import (
     gap_function,
     needle,
     onemax,
+    plateau_function,
 )
 from ea_lab.oracle import (
     ROW_SUM_TOL,
@@ -199,6 +201,107 @@ def test_rls_onemax_closed_form():
     times = expected_hitting_times(chain)
     for z in range(n + 1):
         assert times[z] == pytest.approx(n * harmonic(z), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Exact rational hitting times
+
+
+def _rational_kernel(n, chi):
+    """Level kernel in exact arithmetic: RLS for ``chi=None``, else
+    standard bit mutation at the rational rate chi/n."""
+    if chi is None:
+        return [[Fraction(z, n) if w == z - 1 else Fraction(n - z, n) if w == z + 1 else 0
+                 for w in range(n + 1)] for z in range(n + 1)]
+    r, s = Fraction(chi).numerator, Fraction(chi).denominator
+    weight = [r**k * (s * n - r) ** (n - k) for k in range(n + 1)]
+    kernel = []
+    for z in range(n + 1):
+        row = [0] * (n + 1)
+        for a in range(z + 1):
+            for b in range(n - z + 1):
+                row[z - a + b] += math.comb(z, a) * math.comb(n - z, b) * weight[a + b]
+        kernel.append([Fraction(v, (s * n) ** n) for v in row])
+    return kernel
+
+
+def _rational_hitting_times(spec, chi, target):
+    """Expected generations to reach ``target`` (a set of levels) from
+    each level, in exact arithmetic; None where the time is infinite.
+    Gauss-Jordan elimination on the whole transient system, with no use
+    of the fitness order."""
+    n, f = spec.n, spec.value_table.tolist()
+    kernel = _rational_kernel(n, chi)
+    P = [[kernel[z][w] if w != z and f[w] >= f[z] else 0 for w in range(n + 1)]
+         for z in range(n + 1)]
+    levels = range(n + 1)
+
+    def closure(seed, step):
+        grown = set(seed)
+        while new := {z for z in levels if z not in grown and step(z, grown)}:
+            grown |= new
+        return grown
+
+    reaches = closure(target, lambda z, into: any(P[z][w] for w in into))
+    doomed = closure(set(levels) - reaches,
+                     lambda z, into: z not in target and any(P[z][w] for w in into))
+    idx = [z for z in levels if z not in target and z not in doomed]
+    # (I - Q) t = 1, where the diagonal of I - Q is the leave mass.
+    rows = [[sum(P[z]) if w == z else -P[z][w] for w in idx] + [Fraction(1)] for z in idx]
+    for c in range(len(idx)):
+        pivot = next(r for r in range(c, len(idx)) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(len(idx)):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    times = [None if z in doomed else Fraction(0) for z in levels]
+    for row, z in zip(rows, idx):
+        times[z] = row[-1]
+    return times
+
+
+# Each function's worst relative error.  Strictly ordered levels are
+# solved by one division each.  A plateau block is one dense solve, and
+# itself ill-conditioned: a dense LU over all levels reaches 6.0e-12 on
+# needle(16).
+_STRICT, _PLATEAU = 1e-12, 1e-11
+
+
+@pytest.mark.parametrize("chi", [1, 2])
+@pytest.mark.parametrize("make, tol", [
+    (lambda: onemax(32), _STRICT),
+    (lambda: needle(12), _PLATEAU),
+    (lambda: needle(16), _PLATEAU),
+    (lambda: gap_function(32, 10, 4), _STRICT),  # P_zz rounds to 1 at the gap
+    (lambda: gap_function(24, 3, 2), _STRICT),
+    (lambda: plateau_function(20, 4, 3), _PLATEAU),
+    (lambda: plateau_function(32, 6, 10), _PLATEAU),
+], ids=["onemax-32", "needle-12", "needle-16", "gap-32-10-4", "gap-24-3-2",
+        "plateau-20-4-3", "plateau-32-6-10"])
+def test_hitting_times_match_exact_rationals(make, tol, chi):
+    spec = make()
+    chain = build_level_chain(spec, "OnePlusOneEA", MutationParams(spec.n, chi))
+    exact = _rational_hitting_times(spec, chi, set(np.flatnonzero(chain.absorbing).tolist()))
+    times = expected_hitting_times(chain)
+    for z, t in enumerate(exact):
+        assert abs(Fraction(times[z]) - t) <= tol * t, z
+
+
+@pytest.mark.parametrize("spec, kind, target", [
+    (onemax(32), "RLS", {0}),
+    (gap_function(20, 3, 5), "RLS", {0}),  # trapped at level 8: 6..20 never arrive
+    (onemax(16), "OnePlusOneEA", {0, 5}),  # a target the chain can jump over
+])
+def test_rls_and_other_targets_match_exact_rationals(spec, kind, target):
+    chain = build_level_chain(spec, kind)
+    mask = np.isin(np.arange(spec.n + 1), list(target))
+    times = expected_hitting_times_to(chain, mask)
+    exact = _rational_hitting_times(spec, 1 if kind == "OnePlusOneEA" else None, target)
+    assert np.isinf(times).tolist() == [t is None for t in exact]
+    for z, t in enumerate(exact):
+        if t is not None:
+            assert abs(Fraction(times[z]) - t) <= _STRICT * t, z
 
 
 # ---------------------------------------------------------------------------
