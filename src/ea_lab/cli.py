@@ -397,14 +397,17 @@ BOUND_REGISTRY = {
 
 def check_bounds(ctx: BoundContext, entries: list[dict]) -> None:
     """Reject, before anything is simulated, an unknown bound id and an
-    exact fitness-level bound on a point without a level chain."""
+    exact fitness-level bound on a point without a level chain or with
+    one too large to build."""
     for entry in entries:
         bound_id = entry["id"]
         if bound_id not in BOUND_REGISTRY:
             known = ", ".join(sorted(BOUND_REGISTRY))
             raise ConfigError(f"unknown bound id '{bound_id}' (known: {known})")
-        if bound_id.startswith("afl_exact_") and not ctx.has_chain:
-            raise ConfigError(_NO_CHAIN)
+        if bound_id.startswith("afl_exact_"):
+            if not ctx.has_chain:
+                raise ConfigError(_NO_CHAIN)
+            oracle.check_chain_size(ctx.n)
 
 
 def evaluate_bounds(ctx: BoundContext, entries: list[dict]) -> list[BoundReport]:
@@ -551,8 +554,10 @@ def _run_point(cfg: dict, exp: empirics.Experiment, workers: int):
     the batch, the comparison rows and the point's JSON record."""
     ctx = BoundContext(cfg["function"], exp)
     check_bounds(ctx, cfg.get("bounds", []))
-    batch = empirics.run_batch(exp, workers=workers)
     want_oracle = cfg.get("oracle", ctx.has_chain and ctx.n <= _ORACLE_AUTO_LIMIT)
+    if want_oracle and ctx.has_chain:
+        oracle.check_chain_size(ctx.n)
+    batch = empirics.run_batch(exp, workers=workers)
     oracle_info = compute_oracle(ctx) if want_oracle else None
     oracle_value = oracle_info["expected_evaluations"] if oracle_info else None
     reports = evaluate_bounds(ctx, cfg.get("bounds", []))

@@ -270,17 +270,16 @@ class MutationParams:
         one-bits, so the row is the convolution of the first pmf, reversed,
         with the second.  Both pmfs cover only the flip counts of non-zero
         probability, which keeps the row banded when n is large.
+
+        Every operator of the same n and chi in the process reads one
+        table: the pmfs of all flip counts 0..n are computed together when
+        it is made, and each row is convolved on its first request and
+        then kept as a read-only array.  The exact chain and both level
+        samplers are handed the same arrays.
         """
-        n, rate = self.n, self.rate
-        if not 0 <= z <= n:
+        if not 0 <= z <= self.n:
             raise DomainError("zeros-count out of range")
-        lo0, zero_flips = _binomial_support(z, rate, n)
-        lo1, one_flips = _binomial_support(n - z, rate, n)
-        # Scaling both factors by 2^500 (exact) keeps their products out of
-        # the subnormal range, where floating-point arithmetic is many times
-        # slower; the row sums to at most 1, so the scaled sums cannot overflow.
-        row = np.convolve(np.ldexp(zero_flips[::-1], 500), np.ldexp(one_flips, 500))
-        return z - (lo0 + zero_flips.size - 1) + lo1, np.ldexp(row, -1000)
+        return _kernel_rows(self.n, self.chi).row(z)
 
     def masks(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` flip masks, a ``(count, n)`` uint8 array of 0/1 rows."""
@@ -394,29 +393,98 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([log_gamma(k) for k in range(1, n + 2)])
 
 
-def _binomial_support(m: int, p: float, n: int) -> tuple[int, np.ndarray]:
-    """Binomial(m, p) pmf, m <= n, as ``(lo, pmf)`` over the counts
-    ``lo, lo + 1, ...`` whose probability is non-zero in double
-    precision, evaluated in log space by the log-gamma formula;
-    ``0 < p < 1``."""
+# Window entries that _binomial_supports evaluates per numpy call: 1 MB
+# per float64 temporary.
+_WINDOW_CHUNK = 1 << 17
+
+
+def _binomial_supports(n: int, p: float) -> list[tuple[int, np.ndarray]]:
+    """Binomial(m, p) pmfs of every m = 0..n, entry m as ``(lo, pmf)``
+    over the counts ``lo, lo + 1, ...`` whose probability is non-zero in
+    double precision, evaluated in log space by the log-gamma formula;
+    ``0 < p < 1``.  The pmfs are read-only arrays.
+
+    The ends of every support are searched at once, and the pmfs of many
+    m are evaluated by each numpy call, over the windows between those
+    ends.  Each value is the one a search for that m alone would give,
+    since the formula is applied element by element in the same order."""
     log_p, log_q, log_fact = math.log(p), math.log1p(-p), _log_factorials(n)
 
-    def log_pmf(j):
+    def log_pmf(m, j):
         return log_fact[m] - log_fact[j] - log_fact[m - j] + j * log_p + (m - j) * log_q
 
     # The pmf is log-concave, so it falls monotonically away from the
-    # mode: search outwards in doubling steps for a count past each end.
-    mode = min(m, int((m + 1) * p))
+    # mode: search outwards in doubling steps for a count past each end,
+    # stepping only the m whose search is still going.
+    m = np.arange(n + 1)
+    mode = np.minimum(m, ((m + 1) * p).astype(np.int64))
     ends = []
-    for direction, limit in ((-1, 0), (1, m)):
-        j, step = mode, 1
-        while j != limit and log_pmf(j) > _LOG_ZERO:
-            j = max(0, min(m, mode + direction * step))
+    for direction, limit in ((-1, np.zeros_like(m)), (1, m)):
+        j, step = mode.copy(), 1
+        going = np.flatnonzero((j != limit) & (log_pmf(m, j) > _LOG_ZERO))
+        while going.size:
+            j[going] = np.clip(mode[going] + direction * step, 0, m[going])
             step *= 2
+            jg = j[going]
+            going = going[(jg != limit[going]) & (log_pmf(m[going], jg) > _LOG_ZERO)]
         ends.append(j)
-    pmf = np.exp(log_pmf(np.arange(ends[0], ends[1] + 1)))
-    nonzero = np.flatnonzero(pmf)
-    return ends[0] + int(nonzero[0]), pmf[nonzero[0] : nonzero[-1] + 1]
+
+    # Evaluate the windows ends[0][m]..ends[1][m], laid end to end, for a
+    # block of m at a time, so that temporaries stay near _WINDOW_CHUNK
+    # entries however large n is.
+    width = ends[1] - ends[0] + 1
+    per_block = max(1, _WINDOW_CHUNK // int(width.max()))
+    supports = []
+    for first_m in range(0, n + 1, per_block):
+        block = slice(first_m, first_m + per_block)
+        lo, w = ends[0][block], width[block]
+        starts = np.cumsum(w) - w
+        counts = np.arange(w.sum()) - np.repeat(starts - lo, w)
+        pmf = np.exp(log_pmf(np.repeat(m[block], w), counts))
+        pmf.setflags(write=False)
+        # Trim each window to its first and last non-zero entry.
+        index = np.arange(pmf.size)
+        first = np.minimum.reduceat(np.where(pmf != 0, index, pmf.size), starts)
+        last = np.maximum.reduceat(np.where(pmf != 0, index, -1), starts) + 1
+        supports += [(a, pmf[b:c]) for a, b, c in
+                     zip((lo + first - starts).tolist(), first.tolist(), last.tolist())]
+    return supports
+
+
+class _KernelRows:
+    """The mutation-kernel rows of standard bit mutation at one n and
+    rate: the flip-count pmfs of all m = 0..n, computed together, and
+    each row, convolved from two of them on its first request and then
+    kept read-only."""
+
+    def __init__(self, n: int, rate: float):
+        self.flips = _binomial_supports(n, rate)
+        self.rows: list[tuple[int, np.ndarray] | None] = [None] * (n + 1)
+
+    def row(self, z: int) -> tuple[int, np.ndarray]:
+        row = self.rows[z]
+        if row is None:
+            # z zero-bits and n - z one-bits may flip.
+            row = self.rows[z] = _convolved_row(z, self.flips[z], self.flips[-1 - z])
+        return row
+
+
+def _convolved_row(z: int, zero_flips, one_flips) -> tuple[int, np.ndarray]:
+    """The kernel row of level ``z`` from the ``(lo, pmf)`` supports of its
+    zero-bit and one-bit flip counts, as a read-only array."""
+    (lo0, zero_pmf), (lo1, one_pmf) = zero_flips, one_flips
+    # Scaling both factors by 2^500 (exact) keeps their products out of
+    # the subnormal range, where floating-point arithmetic is many times
+    # slower; the row sums to at most 1, so the scaled sums cannot overflow.
+    row = np.ldexp(np.convolve(np.ldexp(zero_pmf[::-1], 500), np.ldexp(one_pmf, 500)), -1000)
+    row.setflags(write=False)
+    return z - (lo0 + zero_pmf.size - 1) + lo1, row
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_rows(n: int, chi: float) -> _KernelRows:
+    """The row table of every ``MutationParams(n, chi)`` in the process."""
+    return _KernelRows(n, chi / n)
 
 
 # ---------------------------------------------------------------------------

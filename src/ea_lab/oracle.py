@@ -11,9 +11,14 @@ Monte Carlo estimates are checked against.
 The chain's mutation kernel is built from the ``kernel_row`` of the
 mutation operator (:class:`~ea_lab.core.OneBitFlip` for RLS,
 :class:`~ea_lab.core.MutationParams` for the (1+1) EA), the row that also
-drives the level sampler in :mod:`ea_lab.algorithms`.  The sampler jumps
-from level to level with the chain's accepted moves, so a simulated run
-costs O(level changes), while the chain here costs O(n^2) to build.
+drives the level samplers in :mod:`ea_lab.algorithms`.  Standard bit
+mutation keeps one table of rows per (n, chi) in the process, so the
+chain and the samplers read the same arrays, and each row is convolved
+once, from flip-count pmfs that are all computed together.  The sampler
+jumps from level to level with the chain's accepted moves, so a
+simulated run costs O(level changes), while the chain here is dense:
+with the rows made, it costs O(n^2) time and memory to build, and it is
+built for n <= ``MAX_CHAIN_N`` only.
 
 Selection is elitist, so the chain never moves to a level of lower
 fitness and the hitting-time system is block-triangular in fitness
@@ -35,6 +40,12 @@ from .core import (
 )
 
 ROW_SUM_TOL = 1e-12
+
+# The chain is dense: one (n+1) x (n+1) float64 matrix takes 8 (n+1)^2
+# bytes, 134 MB at n = 4096 and 29 GB at n = 60,000.  Building it holds
+# the kernel, P and a temporary of that size at once, and the hitting-time
+# solve the same three, so a chain at this limit needs about 0.4 GB.
+MAX_CHAIN_N = 4096
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,15 @@ class LevelChain:
 _DEFAULT_MUTATION = {"RLS": OneBitFlip, "OnePlusOneEA": MutationParams}
 
 
+def check_chain_size(n: int) -> None:
+    """Raise :class:`DomainError` if the level chain of dimension ``n`` is
+    too large to build."""
+    if n > MAX_CHAIN_N:
+        gb = 8 * (n + 1) ** 2 / 1e9
+        raise DomainError(f"the exact level chain at n = {n} needs dense matrices of "
+                          f"{gb:.3g} GB each; it is built for n <= {MAX_CHAIN_N} only")
+
+
 def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None = None) -> LevelChain:
     """Exact level chain for RLS or the (1+1) EA on ``spec`` under
     ``mutation``, by default the kind's operator at chi = 1.
@@ -68,6 +88,7 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None 
     self-loop.
     """
     n = spec.n
+    check_chain_size(n)
     table = spec.value_table
     if kind not in _DEFAULT_MUTATION:
         raise DomainError(f"unsupported algorithm kind for oracle: {kind}")
@@ -244,6 +265,8 @@ def mutation_drift(chain: LevelChain, distance) -> np.ndarray:
 
 def jump_tail(chain: LevelChain, z: int, j: int) -> float:
     """P(|level change| >= j) under the accepted transition kernel at ``z``."""
+    if not 0 <= z <= chain.n:
+        raise DomainError("zeros-count out of range")
     if j < 0:
         raise DomainError("j must be non-negative")
     row = chain.P[z]

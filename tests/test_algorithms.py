@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ea_lab import core
 from ea_lab.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
     Budget,
     TieBreak,
     _first_of,
+    _JumpChain,
     _LevelPop,
     _levels,
     _merged,
@@ -409,6 +411,65 @@ def test_level_sampler_cdf_within_dkw_band(spec, kind, mutation, zeros, budget, 
     # Dvoretzky-Kiefer-Wolfowitz: sup |F_N - F| <= eps with prob. >= 1 - alpha.
     eps = math.sqrt(math.log(2 / alpha) / (2 * runs))
     assert np.abs(summary.curve_p - exact).max() <= eps
+
+
+# ---------------------------------------------------------------------------
+# One table of kernel rows serves the oracle and both level samplers
+
+
+def test_views_compute_each_kernel_row_once(monkeypatch):
+    n, chi = 37, 1.5
+    supports, rows = [], []
+    build_supports, convolve = core._binomial_supports, core._convolved_row
+
+    def counted_supports(*args):
+        supports.append(args)
+        return build_supports(*args)
+
+    def counted_row(z, *args):
+        rows.append(z)
+        return convolve(z, *args)
+
+    monkeypatch.setattr(core, "_binomial_supports", counted_supports)
+    monkeypatch.setattr(core, "_convolved_row", counted_row)
+    core._kernel_rows.cache_clear()
+    spec = onemax(n)
+    # Each view gets its own operator object: the table is keyed by (n, chi).
+    run_batch(Experiment(spec, one_plus_one_config(n, chi), 40, 5))
+    plus = AlgorithmConfig(AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(n, chi), 2, 3)
+    run_batch(Experiment(spec, plus, 5, 5))
+    build_level_chain(spec, "OnePlusOneEA", MutationParams(n, chi))
+    assert supports == [(n, chi / n)]
+    assert sorted(rows) == list(range(n + 1))
+
+
+def test_kernel_rows_are_shared_and_read_only():
+    lo, probs = MutationParams(20, 2.0).kernel_row(7)
+    assert MutationParams(20, 2.0).kernel_row(7) == (lo, probs)
+    assert MutationParams(20, 2.0).kernel_row(7)[1] is probs
+    with pytest.raises(ValueError, match="read-only"):
+        probs[0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "spec, chi",
+    [(onemax(30), 1.0), (gap_function(30, 3, 5), 2.5), (plateau_function(30, 4, 10), 1.0)],
+    ids=["onemax", "gap", "plateau"],
+)
+def test_jump_chain_moves_are_the_chain_entries(spec, chi):
+    mutation = MutationParams(spec.n, chi)
+    jump = _JumpChain(spec, mutation)
+    P = build_level_chain(spec, "OnePlusOneEA", mutation).P
+    for z in range(spec.n + 1):
+        _, dests, cum = jump.level(z)
+        moves = set(np.flatnonzero(P[z]).tolist()) - {z}
+        tabled = dests[:-1]
+        assert set(tabled) <= moves
+        # The tabled moves carry P's entries: their running sum is cum.
+        assert np.array_equal(np.cumsum(P[z, tabled]), np.array(cum, dtype=float))
+        # The moves left out are those too small to change that sum.
+        for dest in moves - set(tabled):
+            assert cum[-1] + P[z, dest] == cum[-1], (z, dest)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import ea_lab
+from ea_lab import cli, oracle
 from ea_lab.cli import (
     EXIT_BOUND_FAILURE,
     EXIT_ERROR,
@@ -176,6 +177,28 @@ def test_rls_chi_is_a_config_error(tmp_path, capsys, command, chi):
     err = capsys.readouterr().err
     assert err == "error: RLS flips exactly one bit and takes no 'chi'\n"
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [("bounds", {"bounds": [{"id": "afl_exact_upper"}]}), ("run", {"oracle": True})],
+    ids=["afl-exact-bound", "forced-oracle"],
+)
+def test_oversized_chain_is_a_clean_error(tmp_path, capsys, command, overrides):
+    # n = 60,000 would need 29 GB per dense matrix: the size check fails
+    # before any chain or run is started.
+    cfg = _write_config(tmp_path, function={"family": "onemax", "n": 60_000}, runs=2,
+                        **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the exact level chain at n = 60000")
+    assert captured.out == "" and not any(out.iterdir())
+
+
+def test_chain_size_limit_admits_the_automatic_oracle():
+    assert cli._ORACLE_AUTO_LIMIT <= oracle.MAX_CHAIN_N
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ea_lab.core import (
     RngStream,
     SpecError,
     UnitationSpec,
-    _binomial_support,
+    _LOG_ZERO,
     _log_factorials,
     evaluate,
     flip_count_pmf,
@@ -144,22 +144,48 @@ def test_mutation_dimension_mismatch():
 def _reference_kernel_row(n, z, rate):
     """The mutation-kernel row of both operators from one function,
     ``rate`` None standing for RLS: the reference that each operator's
-    ``kernel_row`` must equal exactly."""
+    ``kernel_row`` must equal exactly.  Each binomial support comes from
+    its own scalar search, not from the operator's one-pass table."""
     if rate is None:
         lo, probs = z - 1, np.array([z / n, 0.0, (n - z) / n])
         if z == 0:
             lo, probs = 0, probs[1:]
         return lo, probs[:-1] if z == n else probs
+
+    def _binomial_support(m: int, p: float, n: int) -> tuple[int, np.ndarray]:
+        """Binomial(m, p) pmf, m <= n, as ``(lo, pmf)`` over the counts
+        ``lo, lo + 1, ...`` whose probability is non-zero in double
+        precision, evaluated in log space by the log-gamma formula;
+        ``0 < p < 1``."""
+        log_p, log_q, log_fact = math.log(p), math.log1p(-p), _log_factorials(n)
+
+        def log_pmf(j):
+            return log_fact[m] - log_fact[j] - log_fact[m - j] + j * log_p + (m - j) * log_q
+
+        # The pmf is log-concave, so it falls monotonically away from the
+        # mode: search outwards in doubling steps for a count past each end.
+        mode = min(m, int((m + 1) * p))
+        ends = []
+        for direction, limit in ((-1, 0), (1, m)):
+            j, step = mode, 1
+            while j != limit and log_pmf(j) > _LOG_ZERO:
+                j = max(0, min(m, mode + direction * step))
+                step *= 2
+            ends.append(j)
+        pmf = np.exp(log_pmf(np.arange(ends[0], ends[1] + 1)))
+        nonzero = np.flatnonzero(pmf)
+        return ends[0] + int(nonzero[0]), pmf[nonzero[0] : nonzero[-1] + 1]
+
     lo0, zero_flips = _binomial_support(z, rate, n)
     lo1, one_flips = _binomial_support(n - z, rate, n)
     row = np.convolve(np.ldexp(zero_flips[::-1], 500), np.ldexp(one_flips, 500))
     return z - (lo0 + zero_flips.size - 1) + lo1, np.ldexp(row, -1000)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 100, 512])
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 256, 512, 3000])
 def test_operator_kernel_rows_equal_reference(n):
     operators = [(OneBitFlip(n), None)] + [
-        (MutationParams(n, chi), chi / n) for chi in (0.5, 1.0, 2.5) if chi < n
+        (MutationParams(n, chi), chi / n) for chi in (0.5, 1.0, 2.5, n / 3) if chi < n
     ]
     for op, rate in operators:
         for z in range(n + 1):

@@ -26,6 +26,7 @@ from ea_lab.core import (
     plateau_function,
 )
 from ea_lab.oracle import (
+    MAX_CHAIN_N,
     ROW_SUM_TOL,
     binomial_start,
     build_level_chain,
@@ -149,6 +150,15 @@ def test_kind_and_mutation_must_match():
         build_level_chain(onemax(4), "RLS", OneBitFlip(5))
     assert np.array_equal(build_level_chain(onemax(4), "RLS", OneBitFlip(4)).P,
                           build_level_chain(onemax(4), "RLS").P)
+
+
+@pytest.mark.parametrize("kind", ["RLS", "OnePlusOneEA"])
+def test_oversized_chain_is_rejected_before_allocating(kind):
+    # 8 (n+1)^2 bytes per dense matrix: about 29 GB at n = 60,000.
+    n = 60_000
+    assert n > MAX_CHAIN_N
+    with pytest.raises(DomainError, match=f"n = {n} needs dense matrices of 28.8 GB"):
+        build_level_chain(onemax(n), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +366,14 @@ def test_jump_tail_decreases():
     tails = [jump_tail(chain, 6, j) for j in range(5)]
     assert tails[0] == pytest.approx(1.0)
     assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+
+def test_jump_tail_rejects_levels_outside_the_chain():
+    chain = build_level_chain(onemax(10), "OnePlusOneEA")
+    for z in (-1, 11):
+        with pytest.raises(DomainError, match="zeros-count out of range"):
+            jump_tail(chain, z, 2)
+    assert jump_tail(chain, 10, 0) == pytest.approx(1.0)
 
 
 def test_hitting_time_to_subset():
