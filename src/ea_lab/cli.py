@@ -14,7 +14,10 @@ returns its theorem's report with upper bounds counted in generations;
   records, whose ``detail["reason"]`` says why.
 
 A bound parameter missing from both the bound's params and the function
-section is a configuration error, whatever the bound.
+section, or not a number (an integer where the theorem takes one), is a
+configuration error.  Bounds and oracle need no samples, so ``run`` and
+``sweep`` evaluate them before each point's batch: every configuration
+error stops the point before anything is simulated.
 
 Exit status is 0 when no checked bound is contradicted, 2 when one is or
 when a theorem's own hypothesis check fails, and 1 on usage or
@@ -56,8 +59,6 @@ EXIT_BOUND_FAILURE = 2
 # in n on a plateau as wide as the space; above this size it must be
 # requested explicitly in the configuration.
 _ORACLE_AUTO_LIMIT = 512
-
-_NO_CHAIN = "the exact level chain needs RLS or the (1+1) EA on a unitation function"
 
 
 class ConfigError(ValueError):
@@ -137,6 +138,8 @@ def build_algorithm(alg_cfg: dict, n: int) -> AlgorithmConfig:
     kind = AlgorithmKind(alg_cfg["kind"])
     if kind is AlgorithmKind.RLS and "chi" in alg_cfg:
         raise ConfigError("RLS flips exactly one bit and takes no 'chi'")
+    if kind is not AlgorithmKind.MU_PLUS_LAMBDA_EA and "tie_break" in alg_cfg:
+        raise ConfigError(f"{kind.value} takes no 'tie_break': only MuPlusLambdaEA reads it")
     try:
         return AlgorithmConfig(
             kind=kind,
@@ -165,6 +168,10 @@ def build_start(cfg: dict, n: int) -> empirics.StartPolicy:
 def build_experiment(cfg: dict, n_override: int | None = None) -> empirics.Experiment:
     function = build_function(cfg["function"], n_override)
     algorithm = build_algorithm(cfg["algorithm"], function.n)
+    target = cfg.get("target_fitness")
+    if target is not None and target > function.optimum_value:
+        raise ConfigError(f"target_fitness {target} is above the function's optimum "
+                          f"{function.optimum_value}")
     return empirics.Experiment(
         function=function,
         algorithm=algorithm,
@@ -172,7 +179,7 @@ def build_experiment(cfg: dict, n_override: int | None = None) -> empirics.Exper
         master_seed=int(cfg["master_seed"]),
         budget=Budget(int(cfg.get("budget", 10_000_000))),
         start=build_start(cfg, function.n),
-        target_fitness=cfg.get("target_fitness"),
+        target_fitness=target,
     )
 
 
@@ -198,20 +205,24 @@ class BoundContext:
 
     @property
     def has_chain(self) -> bool:
-        """Whether the algorithm's state is a zeros-count level: RLS or the
-        (1+1) EA on a unitation function."""
+        """Whether the state is a zeros-count level (RLS or the (1+1) EA on unitation)."""
         return uses_jump_chain(self.experiment.function, self.algorithm)
 
     @functools.cached_property
     def chain(self) -> oracle.LevelChain:
         """The point's exact level chain, built on first use and shared by
-        the oracle and the exact fitness-level bounds."""
+        the oracle and the exact fitness-level bounds.  A point without one,
+        or with one too large to build, is a configuration error."""
         if not self.has_chain:
-            raise ConfigError(_NO_CHAIN)
+            raise ConfigError("the exact level chain needs RLS or the (1+1) EA on a "
+                              "unitation function")
         exp = self.experiment
-        return oracle.build_level_chain(
-            exp.function, exp.algorithm.kind.value, exp.algorithm.mutation
-        )
+        try:
+            return oracle.build_level_chain(
+                exp.function, exp.algorithm.kind.value, exp.algorithm.mutation
+            )
+        except core.DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @functools.cached_property
     def level_data(self) -> oracle.FitnessLevelData:
@@ -228,12 +239,10 @@ class BoundContext:
         return oracle.point_start(self.n, zeros)
 
 
-def compute_oracle(ctx: BoundContext) -> dict | None:
-    """Exact expected runtime (in evaluations) when the level chain
-    applies: the time to reach ``target_fitness`` if the experiment sets
+def compute_oracle(ctx: BoundContext) -> dict:
+    """Exact expected runtime (in evaluations) of a point with a level
+    chain: the time to reach ``target_fitness`` if the experiment sets
     one, else the time to the optimum."""
-    if not ctx.has_chain:
-        return None
     chain = ctx.chain
     target_fitness = ctx.experiment.target_fitness
     target = None if target_fitness is None else chain.value_table >= target_fitness
@@ -257,11 +266,21 @@ class Bound(NamedTuple):
     evaluate: Callable[[BoundContext, dict], BoundReport]
 
 
-def _mk(ctx: BoundContext, params: dict, key: str, default=None):
+class _ParamError(ConfigError):
+    """A missing or mistyped bound parameter; ``evaluate_bounds`` names the bound."""
+
+
+def _mk(ctx: BoundContext, params: dict, key: str, kind: type, default=None):
+    """Bound parameter ``key`` as ``kind`` (int or float): from the bound's
+    params, else the function section, else ``default``."""
     value = params.get(key, ctx.function_cfg.get(key, default))
     if value is None:
-        raise ConfigError(f"bound parameter '{key}' missing")
-    return value
+        raise _ParamError(f"bound parameter '{key}' missing")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        noun = "an integer" if kind is int else "a number"
+        raise _ParamError(f"bound parameter '{key}' must be {noun}, not {value!r}")
+    return kind(value)
 
 
 def _closed_form(direction: Direction, fn, *param_keys: str):
@@ -269,7 +288,7 @@ def _closed_form(direction: Direction, fn, *param_keys: str):
     taken from the bound's params or else from the function section."""
 
     def evaluate(ctx, params):
-        values = {key: int(_mk(ctx, params, key)) for key in param_keys}
+        values = {key: _mk(ctx, params, key, int) for key in param_keys}
         value = fn(ctx.n, *values.values())
         return BoundReport("", True, direction, bound_value=value, detail=values)
 
@@ -281,7 +300,7 @@ def _tail(fn, *param_keys: str):
     params."""
 
     def evaluate(ctx, params):
-        values = {key: float(_mk(ctx, params, key)) for key in param_keys}
+        values = {key: _mk(ctx, params, key, float) for key in param_keys}
         value = fn(*values.values())
         return BoundReport("", True, Direction.TAIL_UPPER, bound_value=value, detail=values)
 
@@ -293,10 +312,12 @@ def _gap(part: str):
 
 
 def _afl_exact_levels(ctx):
+    # Read first: a point without a buildable chain is a config error, not "not applicable".
+    data = ctx.level_data
     if ctx.experiment.target_fitness is not None:
         raise core.DomainError("the exact fitness-level bounds bound the time to the "
                                "optimum, not to target_fitness")
-    return ctx.level_data
+    return data
 
 
 def _chi(ctx) -> float:
@@ -338,7 +359,7 @@ def _eval_variable_drift_onemax(ctx, params):
 
 
 def _eval_level_based_onemax(ctx, params):
-    delta = float(params.get("delta", 0.1))
+    delta = _mk(ctx, params, "delta", float, 0.1)
     mu = ctx.algorithm.mu if ctx.algorithm.kind is AlgorithmKind.MU_COMMA_LAMBDA_EA else None
     return bnd.level_based_bound(bnd.onemax_level_params(
         ctx.n, _chi(ctx), delta, ctx.algorithm.lam, mu=mu
@@ -346,8 +367,8 @@ def _eval_level_based_onemax(ctx, params):
 
 
 def _eval_mucommalambda_runtime(ctx, params):
-    delta = float(params.get("delta", 0.1))
-    const = float(params.get("linear_term_constant", 0.0))
+    delta = _mk(ctx, params, "delta", float, 0.1)
+    const = _mk(ctx, params, "linear_term_constant", float, 0.0)
     return bnd.mucommalambda_runtime_bound(
         ctx.n, _chi(ctx), delta, ctx.algorithm.lam, const
     )
@@ -359,8 +380,8 @@ def _eval_linear_runtime_upper(ctx, params):
         w = fn.fn.w
         w_max, w_min = float(w.max()), float(w.min())
     else:
-        w_max = float(_mk(ctx, params, "w_max", 1.0))
-        w_min = float(_mk(ctx, params, "w_min", 1.0))
+        w_max = _mk(ctx, params, "w_max", float, 1.0)
+        w_min = _mk(ctx, params, "w_min", float, 1.0)
     n = ctx.n
     value = math.e * n * (math.log(n) + math.log(w_max / w_min) + 1.0)
     return BoundReport("", True, Direction.UPPER_ON_E, bound_value=value,
@@ -395,31 +416,20 @@ BOUND_REGISTRY = {
 }
 
 
-def check_bounds(ctx: BoundContext, entries: list[dict]) -> None:
-    """Reject, before anything is simulated, an unknown bound id and an
-    exact fitness-level bound on a point without a level chain or with
-    one too large to build."""
-    for entry in entries:
-        bound_id = entry["id"]
-        if bound_id not in BOUND_REGISTRY:
-            known = ", ".join(sorted(BOUND_REGISTRY))
-            raise ConfigError(f"unknown bound id '{bound_id}' (known: {known})")
-        if bound_id.startswith("afl_exact_"):
-            if not ctx.has_chain:
-                raise ConfigError(_NO_CHAIN)
-            oracle.check_chain_size(ctx.n)
-
-
 def evaluate_bounds(ctx: BoundContext, entries: list[dict]) -> list[BoundReport]:
     """One report per entry, under the conventions in the module docstring."""
-    check_bounds(ctx, entries)
     extra = ctx.algorithm.initial_population
     reports = []
     for entry in entries:
         bound_id = entry["id"]
-        bound = BOUND_REGISTRY[bound_id]
+        bound = BOUND_REGISTRY.get(bound_id)
+        if bound is None:
+            known = ", ".join(sorted(BOUND_REGISTRY))
+            raise ConfigError(f"unknown bound id '{bound_id}' (known: {known})")
         try:
             report = bound.evaluate(ctx, entry.get("params", {}))
+        except _ParamError as exc:
+            raise ConfigError(f"{bound_id}: {exc}") from None
         except core.DomainError as exc:
             report = BoundReport(bound_id, None, bound.direction,
                                  detail={"reason": f"not applicable: {exc}"})
@@ -496,8 +506,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def print_comparison(rows: list[empirics.ComparisonRow], out=None) -> None:
-    out = out if out is not None else sys.stdout
+def print_comparison(rows: list[empirics.ComparisonRow]) -> None:
     header = ("quantity", "empirical", "oracle", "bound", "direction", "ok")
     table = [header] + [
         (r.quantity, _fmt(r.empirical), _fmt(r.oracle), _fmt(r.bound),
@@ -506,7 +515,7 @@ def print_comparison(rows: list[empirics.ComparisonRow], out=None) -> None:
     ]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)), file=out)
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
 def _verdict(rows: list[empirics.ComparisonRow]) -> int:
@@ -533,34 +542,27 @@ def _csv_num(v) -> str:
 # Commands
 
 
-def _resolve_workers(threads: int) -> int:
-    if threads < 0:
-        raise ConfigError("--threads must be non-negative")
-    return threads or os.cpu_count() or 1
-
-
 def _prepare(args) -> tuple[dict, int]:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["master_seed"] = args.seed
-    workers = _resolve_workers(args.threads)
+    if args.threads < 0:
+        raise ConfigError("--threads must be non-negative")
+    workers = args.threads or os.cpu_count() or 1
     os.makedirs(args.out, exist_ok=True)
     return cfg, workers
 
 
 def _run_point(cfg: dict, exp: empirics.Experiment, workers: int):
-    """The pipeline ``run`` and ``sweep`` share for one experiment: run
-    the batch, then the oracle, then the bounds, then compare.  Returns
-    the batch, the comparison rows and the point's JSON record."""
+    """The pipeline ``run`` and ``sweep`` share for one experiment: the
+    bounds, then the oracle, then the batch, then compare.  Returns the
+    batch, the comparison rows and the point's JSON record."""
     ctx = BoundContext(cfg["function"], exp)
-    check_bounds(ctx, cfg.get("bounds", []))
-    want_oracle = cfg.get("oracle", ctx.has_chain and ctx.n <= _ORACLE_AUTO_LIMIT)
-    if want_oracle and ctx.has_chain:
-        oracle.check_chain_size(ctx.n)
-    batch = empirics.run_batch(exp, workers=workers)
+    reports = evaluate_bounds(ctx, cfg.get("bounds", []))
+    want_oracle = ctx.has_chain and cfg.get("oracle", ctx.n <= _ORACLE_AUTO_LIMIT)
     oracle_info = compute_oracle(ctx) if want_oracle else None
     oracle_value = oracle_info["expected_evaluations"] if oracle_info else None
-    reports = evaluate_bounds(ctx, cfg.get("bounds", []))
+    batch = empirics.run_batch(exp, workers=workers)
     rows = empirics.compare(batch.summary, reports, oracle_value)
     record = {
         "runtime": summary_dict(batch.summary),
@@ -628,8 +630,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg, _ = _prepare(args)
-    # Build the experiment without running it: bound evaluators may need
-    # the oracle chain, which only depends on the configuration.
     exp = build_experiment(cfg)
     reports = evaluate_bounds(BoundContext(cfg["function"], exp), cfg.get("bounds", []))
     write_json_atomic(

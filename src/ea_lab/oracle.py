@@ -70,25 +70,20 @@ class LevelChain:
 _DEFAULT_MUTATION = {"RLS": OneBitFlip, "OnePlusOneEA": MutationParams}
 
 
-def check_chain_size(n: int) -> None:
-    """Raise :class:`DomainError` if the level chain of dimension ``n`` is
-    too large to build."""
-    if n > MAX_CHAIN_N:
-        gb = 8 * (n + 1) ** 2 / 1e9
-        raise DomainError(f"the exact level chain at n = {n} needs dense matrices of "
-                          f"{gb:.3g} GB each; it is built for n <= {MAX_CHAIN_N} only")
-
-
 def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None = None) -> LevelChain:
     """Exact level chain for RLS or the (1+1) EA on ``spec`` under
     ``mutation``, by default the kind's operator at chi = 1.
 
     Selection accepts offspring of fitness greater than or equal to the
     parent fitness (the (1+1) EA tie rule); rejected mass goes to the
-    self-loop.
+    self-loop.  A chain above ``MAX_CHAIN_N`` is refused before anything
+    is allocated.
     """
     n = spec.n
-    check_chain_size(n)
+    if n > MAX_CHAIN_N:
+        gb = 8 * (n + 1) ** 2 / 1e9
+        raise DomainError(f"the exact level chain at n = {n} needs dense matrices of "
+                          f"{gb:.3g} GB each; it is built for n <= {MAX_CHAIN_N} only")
     table = spec.value_table
     if kind not in _DEFAULT_MUTATION:
         raise DomainError(f"unsupported algorithm kind for oracle: {kind}")

@@ -512,6 +512,7 @@ def test_sweep_computes_fitness_levels_once_per_point(tmp_path, monkeypatch):
 
 _SWEEP = {"sweep": {"variable": "n", "values": [6, 8]}}
 _POPULATION = {"kind": "MuPlusLambdaEA", "mu": 2, "lambda": 2}
+_COMMA_TIES = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
 
 
 @pytest.mark.parametrize(
@@ -525,9 +526,52 @@ _POPULATION = {"kind": "MuPlusLambdaEA", "mu": 2, "lambda": 2}
                    **_SWEEP}, "exact level chain needs"),
         ("run", {"function": {"family": "linear", "weights": [1, 2, 3]},
                  "bounds": [{"id": "afl_exact_lower"}]}, "exact level chain needs"),
+        ("run", {"algorithm": _POPULATION, "target_fitness": 5,
+                 "bounds": [{"id": "afl_exact_upper"}]}, "exact level chain needs"),
+        ("run", {"bounds": [{"id": "plateau_upper"}]},
+         "plateau_upper: bound parameter 'm' missing"),
+        ("run", {"target_fitness": 9},
+         "target_fitness 9 is above the function's optimum 8.0"),
+        ("sweep", {"target_fitness": 7, **_SWEEP},
+         "target_fitness 7 is above the function's optimum 6.0"),
+        ("run", {"function": {"family": "linear", "weights": [1, 2, 3]},
+                 "target_fitness": 6.5, "oracle": False},
+         "target_fitness 6.5 is above the function's optimum 6.0"),
+        ("run", {"function": {"family": "onemax", "n": oracle.MAX_CHAIN_N + 1},
+                 "oracle": True}, f"exact level chain at n = {oracle.MAX_CHAIN_N + 1}"),
+        ("run", {"bounds": [{"id": "onemax_afl_upper"}, {"id": "no_such_theorem"}]},
+         "unknown bound id 'no_such_theorem'"),
+        ("run", {"bounds": [{"id": "markov", "params": {"expectation": "abc", "t": 5}}]},
+         "markov: bound parameter 'expectation' must be a number, not 'abc'"),
+        ("bounds", {"bounds": [{"id": "markov", "params": {"expectation": "abc", "t": 5}}]},
+         "markov: bound parameter 'expectation' must be a number, not 'abc'"),
+        ("run", {"algorithm": _COMMA_TIES,
+                 "bounds": [{"id": "level_based_onemax", "params": {"delta": "small"}}]},
+         "level_based_onemax: bound parameter 'delta' must be a number, not 'small'"),
+        ("run", {"bounds": [{"id": "plateau_upper", "params": {"m": 2.5, "k": 3}}]},
+         "plateau_upper: bound parameter 'm' must be an integer, not 2.5"),
+        ("run", {"bounds": [{"id": "chernoff_upper",
+                             "params": {"expectation": 5, "delta": True}}]},
+         "chernoff_upper: bound parameter 'delta' must be a number, not True"),
+        ("run", {"algorithm": {"kind": "RLS", "tie_break": "PreferOffspring"}},
+         "RLS takes no 'tie_break'"),
+        ("bounds", {"algorithm": {"kind": "OnePlusOneEA", "tie_break": "UniformRandom"}},
+         "OnePlusOneEA takes no 'tie_break'"),
+        ("run", {"algorithm": dict(_COMMA_TIES, tie_break="UniformRandom")},
+         "MuCommaLambdaEA takes no 'tie_break'"),
+        ("bounds", {"algorithm": dict(_COMMA_TIES, tie_break="PreferOffspring")},
+         "MuCommaLambdaEA takes no 'tie_break'"),
     ],
     ids=["run-unknown-id", "sweep-unknown-id", "run-afl-exact-on-population",
-         "sweep-afl-exact-on-population", "run-afl-exact-on-bits"],
+         "sweep-afl-exact-on-population", "run-afl-exact-on-bits",
+         "run-afl-exact-on-population-with-target", "run-missing-closed-form-param",
+         "run-target-above-optimum", "sweep-target-above-optimum",
+         "run-target-above-linear-optimum", "run-oversized-forced-oracle",
+         "run-unknown-id-after-valid",
+         "run-non-numeric-tail-param", "bounds-non-numeric-tail-param",
+         "run-non-numeric-delta", "run-non-integer-param", "run-boolean-param",
+         "run-rls-tie-break", "bounds-one-plus-one-tie-break", "run-comma-tie-break",
+         "bounds-comma-tie-break"],
 )
 def test_bound_errors_stop_before_simulation(tmp_path, monkeypatch, capsys,
                                              command, overrides, message):
@@ -538,10 +582,48 @@ def test_bound_errors_stop_before_simulation(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(empirics, "run_batch", fail)
     cfg = _write_config(tmp_path, **overrides)
-    code = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--threads", "1", "--quiet"])
+    out = tmp_path / "o"
+    code = main([command, "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"])
     assert code == EXIT_ERROR
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert captured.out == "" and not any(out.iterdir())
+
+
+def test_theory_is_evaluated_before_the_batch(tmp_path, monkeypatch):
+    from ea_lab import empirics
+
+    done = []
+    for name in ("evaluate_bounds", "compute_oracle"):
+        def spy(*args, _name=name, _fn=getattr(cli, name)):
+            done.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, spy)
+    run_batch = empirics.run_batch
+
+    def batch(*args, **kwargs):
+        done.append("run_batch")
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(empirics, "run_batch", batch)
+    cfg = _write_config(tmp_path, bounds=[{"id": "afl_exact_upper"}], **_SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "1", "--quiet"]) == EXIT_OK
+    assert done == ["evaluate_bounds", "compute_oracle", "run_batch"] * 2
+
+
+def test_integral_float_bound_parameter_is_an_integer(tmp_path):
+    # JSON Schema counts 3.0 as an integer; so does the bound, byte for byte.
+    payloads = []
+    for m in (3, 3.0):
+        cfg = _write_config(tmp_path, name=f"{m}.json",
+                            bounds=[{"id": "plateau_upper", "params": {"m": m, "k": 4}}])
+        out = tmp_path / f"out-{m}"
+        main(["bounds", "--config", cfg, "--out", str(out), "--quiet"])
+        payloads.append(json.loads((out / "bounds.json").read_text())["bounds"])
+    assert payloads[0] == payloads[1]
 
 
 # samples.csv of small fixed-seed runs on the single-individual level,
