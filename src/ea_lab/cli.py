@@ -42,7 +42,6 @@ from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 from typing import Any, Callable, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import bounds as bnd
@@ -74,8 +73,110 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+_KEYWORDS = {"$schema", "title", "type", "properties", "required", "additionalProperties",
+             "items", "const", "enum", "minimum", "exclusiveMinimum", "minLength", "minItems"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON Schema 2020-12 types: a bool is neither an integer nor a number, and an
+# integral float such as 3.0 is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _audit(schema: dict) -> None:
+    """Refuse a schema that uses a keyword ``_check`` does not implement."""
+    if (set(schema) - _KEYWORDS or schema.get("additionalProperties", False) is not False
+            or schema.get("type", "object") not in _TYPES):
+        raise NotImplementedError(f"not implemented by the config schema checker: {schema!r}")
+    subschemas = list(schema.get("properties", {}).values())
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        _audit(sub)
+
+
+def _check(schema: dict, value, path: tuple, errors: list):
+    """Append ``(path, message)`` for each keyword of ``schema`` that
+    ``value`` breaks, in the schema's keyword order and in the reference
+    validator's words, and return ``value`` with every integral float in
+    an integer field made an ``int``."""
+    for key, arg in schema.items():
+        message = None
+        if key == "type" and not _TYPES[arg](value):
+            message = f"{value!r} is not of type {arg!r}"
+        elif key in ("const", "enum") and not any(
+                value == option and isinstance(value, bool) == isinstance(option, bool)
+                for option in ([arg] if key == "const" else arg)):
+            message = f"{arg!r} was expected" if key == "const" else (
+                f"{value!r} is not one of {arg!r}")
+        elif key == "minimum" and _is_number(value) and value < arg:
+            message = f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and _is_number(value) and value <= arg:
+            message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key in ("minLength", "minItems") and isinstance(
+                value, str if key == "minLength" else list) and len(value) < arg:
+            message = f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif isinstance(value, dict) and key == "required":
+            errors += [(path, f"{name!r} is a required property")
+                       for name in arg if name not in value]
+        elif isinstance(value, dict) and key == "additionalProperties":
+            extras = sorted(set(value) - set(schema.get("properties", {})))
+            if extras:
+                message = "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+        elif isinstance(value, dict) and key == "properties":
+            for name, sub in arg.items():
+                if name in value:
+                    value[name] = _check(sub, value[name], path + (name,), errors)
+        elif isinstance(value, list) and key == "items":
+            value[:] = [_check(arg, v, path + (i,), errors) for i, v in enumerate(value)]
+        if message is not None:
+            errors.append((path, message))
+    if schema.get("type") == "integer" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def schema_error(schema: dict, instance) -> tuple[str, str] | None:
+    """The first violation of ``schema`` by ``instance``, as a JSON pointer
+    and a message, or None; integral floats in ``instance``'s integer
+    fields become ints, in place.  The first violation is the earliest
+    one, in keyword order, among those whose path (object keys and array
+    indices) sorts first."""
+    _audit(schema)
+    errors: list = []
+    _check(schema, instance, (), errors)
+    if not errors:
+        return None
+    path, message = min(errors, key=lambda e: e[0])
+    return "/" + "/".join(map(str, path)), message
+
+
+def _not_json(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str) -> dict:
     """Parse and schema-validate a configuration file.
+
+    ``config_schema.json`` is checked under JSON Schema 2020-12 by a
+    walker that implements exactly the keywords the file uses (``type``,
+    ``properties``, ``required``, ``additionalProperties: false``,
+    ``items``, ``const``, ``enum``, ``minimum``, ``exclusiveMinimum``,
+    ``minLength`` and ``minItems``; ``$schema`` and ``title`` are ignored)
+    and raises ``NotImplementedError`` on any other.  An integral float in
+    an integer field is returned as an ``int``.  ``NaN`` and ``Infinity``
+    are refused: they are not JSON.
 
     Error messages are anchored: JSON syntax errors carry line/column,
     schema violations carry the JSON pointer of the offending element.
@@ -86,15 +187,14 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_constant=_not_json)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        pointer = "/" + "/".join(str(p) for p in first.absolute_path)
-        raise ConfigError(f"{path}: at {pointer or '/'}: {first.message}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    error = schema_error(_schema(), cfg)
+    if error:
+        raise ConfigError(f"{path}: at {error[0]}: {error[1]}")
     return cfg
 
 
@@ -276,8 +376,7 @@ def _mk(ctx: BoundContext, params: dict, key: str, kind: type, default=None):
     value = params.get(key, ctx.function_cfg.get(key, default))
     if value is None:
         raise _ParamError(f"bound parameter '{key}' missing")
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
+    if not _TYPES["integer" if kind is int else "number"](value):
         noun = "an integer" if kind is int else "a number"
         raise _ParamError(f"bound parameter '{key}' must be {noun}, not {value!r}")
     return kind(value)
@@ -382,6 +481,9 @@ def _eval_linear_runtime_upper(ctx, params):
     else:
         w_max = _mk(ctx, params, "w_max", float, 1.0)
         w_min = _mk(ctx, params, "w_min", float, 1.0)
+        if not 0 < w_min <= w_max:
+            raise _ParamError(f"bound parameters need 0 < w_min <= w_max, not "
+                              f"w_min = {w_min!r}, w_max = {w_max!r}")
     n = ctx.n
     value = math.e * n * (math.log(n) + math.log(w_max / w_min) + 1.0)
     return BoundReport("", True, Direction.UPPER_ON_E, bound_value=value,

@@ -1,11 +1,15 @@
 """Tests for the command-line front end."""
 
+import copy
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 import ea_lab
@@ -21,7 +25,7 @@ from ea_lab.cli import (
 )
 
 
-def _write_config(tmp_path, name="cfg.json", **overrides):
+def _config(**overrides):
     cfg = {
         "schema_version": 1,
         "experiment": {"name": "test"},
@@ -31,9 +35,29 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
         "master_seed": 17,
     }
     cfg.update(overrides)
+    return cfg
+
+
+def _write_config(tmp_path, name="cfg.json", **overrides):
+    cfg = _config(**overrides)
+    _assert_checkers_agree(cfg)  # every config this module writes
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+_SCHEMA = cli._schema()
+_REFERENCE = jsonschema.Draft202012Validator(_SCHEMA)
+
+
+def _assert_checkers_agree(cfg):
+    """``cli.schema_error`` and jsonschema's validator, taking its errors in
+    the order the loader once did, find the same first error, or none."""
+    errors = sorted(_REFERENCE.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    expected = None
+    if errors:
+        expected = ("/" + "/".join(map(str, errors[0].absolute_path)), errors[0].message)
+    assert cli.schema_error(_SCHEMA, copy.deepcopy(cfg)) == expected, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +462,25 @@ def test_unreachable_target_gives_infinite_oracle(tmp_path):
     assert summary["runtime"]["censored"] == 5
 
 
+def _fresh_run(cfg, out, package):
+    """``cli.main(["run", ...])`` in a fresh interpreter: its exit code and
+    the modules of ``package`` loaded afterwards."""
+    script = (
+        "import json, sys\n"
+        "from ea_lab import cli\n"
+        f"code = cli.main(['run', '--config', {cfg!r}, '--out', {str(out)!r},"
+        " '--threads', '1', '--quiet'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules"
+        f" if m == {package!r} or m.startswith({package + '.'!r}))]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ea_lab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_run_never_imports_scipy(tmp_path):
     # A fresh interpreter: importing the CLI and a run with the oracle and a
     # log-gamma bound (the calls that once needed scipy) leave no scipy module.
@@ -445,22 +488,18 @@ def test_run_never_imports_scipy(tmp_path):
                         function={"family": "gap", "n": 8, "m": 2, "k": 3},
                         bounds=[{"id": "gap_inner_lower"}])
     out = tmp_path / "out"
-    script = (
-        "import json, sys\n"
-        "from ea_lab import cli\n"
-        f"code = cli.main(['run', '--config', {cfg!r}, '--out', {str(out)!r},"
-        " '--threads', '1', '--quiet'])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.'))]))\n"
-    )
-    src = os.path.dirname(os.path.dirname(ea_lab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [EXIT_OK, []]
+    assert _fresh_run(cfg, out, "scipy") == [EXIT_OK, []]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["oracle"]["expected_evaluations"] > 0
+
+
+def test_run_never_imports_jsonschema(tmp_path):
+    # The configuration is checked without jsonschema, which is a test
+    # dependency only; an invalid one is refused the same way.
+    cfg = _write_config(tmp_path, runs=5)
+    assert _fresh_run(cfg, tmp_path / "out", "jsonschema") == [EXIT_OK, []]
+    bad = _write_config(tmp_path, name="bad.json", algorithm={"kind": "HillClimber"})
+    assert _fresh_run(bad, tmp_path / "bad", "jsonschema") == [EXIT_ERROR, []]
 
 
 def test_sweep_builds_one_chain_per_point(tmp_path, monkeypatch):
@@ -561,6 +600,18 @@ _COMMA_TIES = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
          "MuCommaLambdaEA takes no 'tie_break'"),
         ("bounds", {"algorithm": dict(_COMMA_TIES, tie_break="PreferOffspring")},
          "MuCommaLambdaEA takes no 'tie_break'"),
+        ("run", {"bounds": [{"id": "linear_runtime_upper", "params": {"w_min": 0}}]},
+         "linear_runtime_upper: bound parameters need 0 < w_min <= w_max, "
+         "not w_min = 0.0, w_max = 1.0"),
+        ("bounds", {"bounds": [{"id": "linear_runtime_upper", "params": {"w_min": 0}}]},
+         "linear_runtime_upper: bound parameters need 0 < w_min <= w_max"),
+        ("run", {"bounds": [{"id": "linear_runtime_upper", "params": {"w_min": -1}}]},
+         "linear_runtime_upper: bound parameters need 0 < w_min <= w_max"),
+        ("bounds", {"bounds": [{"id": "linear_runtime_upper", "params": {"w_min": -1}}]},
+         "linear_runtime_upper: bound parameters need 0 < w_min <= w_max"),
+        ("bounds", {"bounds": [{"id": "linear_runtime_upper",
+                                "params": {"w_min": 2, "w_max": 1.5}}]},
+         "not w_min = 2.0, w_max = 1.5"),
     ],
     ids=["run-unknown-id", "sweep-unknown-id", "run-afl-exact-on-population",
          "sweep-afl-exact-on-population", "run-afl-exact-on-bits",
@@ -571,7 +622,8 @@ _COMMA_TIES = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
          "run-non-numeric-tail-param", "bounds-non-numeric-tail-param",
          "run-non-numeric-delta", "run-non-integer-param", "run-boolean-param",
          "run-rls-tie-break", "bounds-one-plus-one-tie-break", "run-comma-tie-break",
-         "bounds-comma-tie-break"],
+         "bounds-comma-tie-break", "run-zero-w-min", "bounds-zero-w-min",
+         "run-negative-w-min", "bounds-negative-w-min", "bounds-w-max-below-w-min"],
 )
 def test_bound_errors_stop_before_simulation(tmp_path, monkeypatch, capsys,
                                              command, overrides, message):
@@ -742,3 +794,172 @@ def test_bound_reports_are_pinned(tmp_path, function, algorithm, bounds, digest)
                    for b in payload["bounds"])
     got = hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest()
     assert got == digest, got
+
+
+# ---------------------------------------------------------------------------
+# Schema checker
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _nodes(item, path + (index,))
+
+
+# Every node of a config is replaced by each of these in turn: wrong types,
+# bools for numbers, 3.0 for integers, the minimum and exclusiveMinimum
+# boundaries (0, 1, 0.0, 1e-300, -1), empty strings and arrays, and arrays of
+# bad items.
+_REPLACEMENTS = [None, True, False, "", "x", [], {}, {"x": 1}, [True], ["x"], [{}], [0],
+                 [1.5], -1, 0, 0.0, 1e-300, 0.5, 1, 1.0, 2.5, 3.0, 1e300]
+
+
+def _mutants(cfg):
+    """Single-field mutations of ``cfg``: each node replaced by each of
+    ``_REPLACEMENTS`` (and a string by a near miss of it) or deleted, and
+    an extra key in each object.  Array items past the second share their
+    schema with the first two and are left alone."""
+    def copy_at(path):
+        new = copy.deepcopy(cfg)
+        return new, functools.reduce(operator.getitem, path, new)
+
+    for path, value in _nodes(cfg):
+        if any(isinstance(key, int) and key > 1 for key in path):
+            continue
+        new, node = copy_at(path)
+        if isinstance(node, dict):
+            node["extra"] = 1
+            yield new
+        if not path:
+            continue
+        near = [value + "!", value.upper()] if isinstance(value, str) else []
+        for replacement in _REPLACEMENTS + near:
+            new, parent = copy_at(path[:-1])
+            parent[path[-1]] = replacement
+            yield new
+        new, parent = copy_at(path[:-1])
+        del parent[path[-1]]
+        yield new
+
+
+def _corpus():
+    """The configs the benchmark's workloads build, and a set of this
+    module's configs that between them set every field of the schema."""
+    import workloads  # from bench/, which the test puts on sys.path
+
+    configs = [call["config"] for w in workloads.WORKLOADS
+               for call in workloads.make_calls(w, 0)]
+    configs += [
+        _config(),
+        _config(function=_ONEMAX, algorithm=_PLUS,
+                start={"policy": "FixedZeros", "zeros": 7}, oracle=False),
+        _config(function=_LINEAR, algorithm=_PLUS_UNIFORM, target_fitness=30.5,
+                budget=2000, bounds=[{"id": "markov",
+                                      "params": {"expectation": 15, "t": 20}}]),
+        _config(function=_PLATEAU_FN, algorithm=_EA_15,
+                bounds=[{"id": "plateau_upper", "params": {"m": 3, "k": 13}}]),
+        _config(function={"family": "blocks", "n": 5, "blocks": [
+            {"kind": "linear", "m": 3, "a": 2.0, "b": -1}, {"kind": "gap", "m": 2}]},
+            algorithm=_COMMA, start={"policy": "UniformRandom"}),
+        _config(algorithm=_COMMA_TIES, schema_version=1.0, **_SWEEP),
+    ]
+    return configs
+
+
+def _schema_fields(schema, path=()):
+    yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from _schema_fields(sub, path + (key,))
+    if "items" in schema:
+        yield from _schema_fields(schema["items"], path + ("[]",))
+
+
+def _several_errors():
+    """Configs that break the schema at more than one path or in more than
+    one way at one path: the first error is the one at the path that
+    sorts first (array indices as numbers), then the first in keyword order."""
+    weights = [1, 1, "x"] + [1] * 7 + [0]  # /function/weights/2 before .../10
+    return [
+        _config(function={"family": "onemax", "n": 0}, algorithm={"kind": "x"}),
+        _config(function={"family": "linear", "weights": weights}),
+        _config(runs=0, extra=1),
+        _config(function={"family": "onemax", "n": 0.5}),
+        {"runs": True, "experiment": {"name": ""}, "sweep": {"values": [0, True]}},
+        _config(bounds=[{"id": ""}, {}, {"id": 1, "params": []}],
+                algorithm={"kind": "RLS", "mu": 0, "chi": 0}),
+    ]
+
+
+def test_checker_agrees_with_jsonschema(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    for cfg in _several_errors():
+        _assert_checkers_agree(cfg)
+    corpus = _corpus()
+    seen = {tuple("[]" if isinstance(k, int) else k for k in path)
+            for cfg in corpus for path, _ in _nodes(cfg)}
+    assert set(_schema_fields(_SCHEMA)) <= seen  # the corpus sets every field
+    checked = set()
+    for cfg in corpus:
+        for mutant in [cfg, *_mutants(cfg)]:
+            key = json.dumps(mutant, sort_keys=True)
+            if key not in checked:
+                checked.add(key)
+                _assert_checkers_agree(mutant)
+    assert len(checked) > 4000
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "properties": {"runs": {"oneOf": [{"type": "integer"}]}}},
+    {"type": "array", "items": {"type": "integer", "maximum": 3}},
+    {"type": "object", "additionalProperties": {"type": "integer"}},
+    {"type": "null"},
+], ids=["unused-oneOf", "maximum-in-items", "additionalProperties-schema", "null-type"])
+def test_checker_refuses_unimplemented_keywords(schema):
+    with pytest.raises(NotImplementedError):
+        cli.schema_error(schema, {})
+
+
+def test_integral_floats_in_integer_fields_are_integers(tmp_path):
+    # JSON Schema counts 10.0 as an integer; so does the loader, which hands
+    # the run an int and echoes one.
+    outputs = []
+    for tag, number in (("int", int), ("float", float)):
+        cfg = _write_config(
+            tmp_path, name=f"{tag}.json", runs=number(20), budget=number(2000),
+            function={"family": "onemax", "n": number(10)},
+            start={"policy": "FixedZeros", "zeros": number(3)},
+        )
+        out = tmp_path / tag
+        assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                     "--quiet"]) == EXIT_OK
+        outputs.append([(out / f).read_bytes() for f in ("samples.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][1])["config"]["function"]["n"] == 10
+
+
+@pytest.mark.parametrize("overrides, constant", [
+    ({"function": _LINEAR, "target_fitness": float("nan")}, "NaN"),
+    ({"function": {"family": "linear", "weights": [1, float("nan"), 3]}}, "NaN"),
+    ({"function": {"family": "linear", "weights": [1, float("inf")]}}, "Infinity"),
+    ({"target_fitness": -float("inf")}, "-Infinity"),
+], ids=["nan-target", "nan-weight", "infinite-weight", "negative-infinite-target"])
+def test_non_finite_constants_are_refused(tmp_path, monkeypatch, capsys, overrides,
+                                          constant):
+    from ea_lab import empirics
+
+    def fail(*args, **kwargs):
+        raise AssertionError("run_batch called on a config that is not JSON")
+
+    monkeypatch.setattr(empirics, "run_batch", fail)
+    cfg = _write_config(tmp_path, **overrides)
+    assert constant in open(cfg).read()
+    out = tmp_path / "o"
+    code = main(["run", "--config", cfg, "--out", str(out), "--threads", "1", "--quiet"])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: {constant} is not a JSON number\n"
+    assert captured.out == "" and not out.exists()
