@@ -4,15 +4,14 @@ and the (mu,lambda) EA, all started through :func:`run_algorithm`.
 Runtime is counted in fitness evaluations including the initial
 population, so the initial evaluation can already hit the optimum.
 On a unitation function the zeros-count of each individual is a
-sufficient statistic, so runs there are simulated on levels, from the
-kernel rows of the configured mutation operator, the rows the exact oracle
-uses; generic objectives are simulated bit by bit, with the operator's
-flip masks.
+sufficient statistic, so runs there are simulated on levels; generic
+objectives are simulated bit by bit, with the mutation operator's flip
+masks.
 
-- RLS and the (1+1) EA on levels use a jump-chain sampler: it draws how
-  long the run stays on a level and where it moves next, so a run costs
-  O(level changes) rather than O(evaluations).  On bits they loop over
-  evaluations.
+- RLS and the (1+1) EA on levels use a jump-chain sampler: from the exact
+  oracle's table of accepted moves, it draws how long the run stays on a
+  level and where it moves next, so a run costs O(level changes) rather
+  than O(evaluations).  On bits they loop over evaluations.
 - Population EAs share one generation loop over a representation of the
   population.  On levels a population is a histogram of counts per
   level, since its individuals are exchangeable: a generation costs
@@ -41,6 +40,7 @@ from .core import (
     UnitationSpec,
     flip_count_pmf_table,
 )
+from .oracle import move_table
 
 _BATCH = 256
 
@@ -119,66 +119,6 @@ class RunTrace(NamedTuple):
 # Single-individual fast paths (RLS and the (1+1) EA)
 
 
-class _JumpChain:
-    """The accepted moves of RLS or the (1+1) EA on a unitation function,
-    tabled lazily per visited level.
-
-    ``level(z)`` gives ``(log_stay, dests, cum)``: ``log_stay`` is
-    log(1 - s), where s is the probability that one offspring is an
-    accepted move to another level (None when s = 0); ``dests`` are those
-    levels, most likely first, and ``cum`` their cumulative
-    probabilities, ending at s.  ``dests`` repeats its last level once
-    more, for a bisection of ``cum`` at U * s that rounds up to s.  A
-    destination whose probability does not change the float cumulative
-    sum can never be picked by bisection, so it is dropped; that keeps
-    each table as short as the mutation's effective support.
-    """
-
-    def __init__(self, spec: UnitationSpec, mutation: Mutation):
-        self.table, self.mutation = spec.value_table, mutation
-        self.values = spec.value_table.tolist()
-        self.levels: dict[int, tuple] = {}
-
-    def level(self, z: int) -> tuple:
-        entry = self.levels.get(z)
-        if entry is None:
-            lo, probs = self.mutation.kernel_row(z)
-            hi = lo + probs.size
-            accepted = self.table[lo:hi] >= self.table[z]
-            if lo <= z < hi:
-                accepted[z - lo] = False
-            moves = np.flatnonzero(accepted)
-            moves = moves[np.argsort(-probs[moves], kind="stable")]
-            cum = np.cumsum(probs[moves])
-            s = float(cum[-1]) if cum.size else 0.0
-            if s == 0.0:
-                entry = (None, [], [])
-            else:
-                # Moves after the first that brings cum to s add nothing.
-                useful = int(np.searchsorted(cum, s)) + 1
-                log_stay = math.log1p(-s) if s < 1.0 else -math.inf  # s can round above 1
-                dests = (moves[:useful] + lo).tolist()
-                entry = (log_stay, dests + dests[-1:], cum[:useful].tolist())
-            self.levels[z] = entry
-        return entry
-
-
-_cached_jump_chain = functools.lru_cache(maxsize=16)(_JumpChain)
-_last_jump_chain: tuple = (None, None, None)
-
-
-def _jump_chain(spec: UnitationSpec, mutation: Mutation) -> _JumpChain:
-    """The cached chain of ``spec`` under ``mutation``.  The runs of a
-    batch share one spec and one operator object, so the last request is
-    matched by identity, without hashing them."""
-    global _last_jump_chain
-    last_spec, last_mutation, chain = _last_jump_chain
-    if last_spec is not spec or last_mutation is not mutation:
-        chain = _cached_jump_chain(spec, mutation)
-        _last_jump_chain = (spec, mutation, chain)
-    return chain
-
-
 def _run_single_level(
     spec: UnitationSpec,
     cfg: AlgorithmConfig,
@@ -191,15 +131,16 @@ def _run_single_level(
     """Jump-chain sampler: at each level, the number of offspring up to
     and including the first accepted move to another level is
     Geometric(s), drawn by inversion, and that move's destination is
-    drawn by bisecting the cumulative distribution of accepted moves.
-    Every other offspring is a self-loop, so a run costs O(level
-    changes), not O(evaluations).
+    drawn by bisecting the cumulative distribution of accepted moves;
+    both come from the level's entry in the oracle's move table.  Every
+    other offspring is a self-loop, so a run costs O(level changes), not
+    O(evaluations).
 
     Uniforms are drawn in batches that double from 16 to ``_BATCH``, so a
     short run draws few that it does not use; consecutive batches continue
     one stream, so the sizes do not change the uniforms a run sees."""
-    chain = _jump_chain(spec, cfg.mutation)
-    values, levels = chain.values, chain.levels
+    table = move_table(spec, cfg.mutation)
+    values, jumps = table.values, table.jumps
     max_evals = budget.max_evaluations
 
     z = int(rng.binomial(spec.n, 0.5)) if start_zeros is None else int(start_zeros)
@@ -211,7 +152,7 @@ def _run_single_level(
     uniforms, i = [], 0
     size = 8  # doubled before each batch: 16, 32, ..., _BATCH
     while hit is None:
-        log_stay, dests, cum = levels.get(z) or chain.level(z)
+        log_stay, dests, cum = jumps.get(z) or table.jump(z)
         if i + 2 > len(uniforms):  # a level change takes at most two
             size = min(2 * size, _BATCH)
             uniforms = uniforms[i:] + rng.random(size).tolist()
@@ -350,8 +291,8 @@ class _Levels:
     first) to count; a *class* is a run of positions of equal fitness.
     One generation draws the parents' levels as one multinomial over the
     parent histogram, and each occupied parent level's offspring as one
-    multinomial over its row of the mutation operator's ``kernel_row``, the
-    row the exact oracle and the jump chain use.  Truncation keeps the best
+    multinomial over its row of the mutation operator's ``kernel_row``, from
+    which the exact oracle's move table is built.  Truncation keeps the best
     classes; where it cuts a class of several levels, the kept
     individuals are a multivariate hypergeometric draw.
 
@@ -679,7 +620,7 @@ def run_algorithm(
 def uses_jump_chain(f: UnitationSpec | FitnessFunction, cfg: AlgorithmConfig) -> bool:
     """Whether runs of ``cfg`` on ``f`` take the jump-chain sampler: RLS or
     the (1+1) EA on a unitation function, whose exact level chain the
-    oracle builds from the same kernel rows."""
+    oracle builds from the same move table."""
     return isinstance(f, UnitationSpec) and cfg.kind in _SINGLE_KINDS
 
 

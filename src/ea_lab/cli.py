@@ -54,9 +54,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND_FAILURE = 2
 
-# The oracle's chain is a dense (n+1) x (n+1) matrix, and its solve is cubic
-# in n on a plateau as wide as the space; above this size it must be
-# requested explicitly in the configuration.
+# The oracle's chain is banded, O(n w) for kernel rows of w entries, but its
+# solve is cubic in the size of a plateau, up to n on needle.  Above this n
+# it runs only when the configuration asks for it; a chain estimated above
+# oracle.CHAIN_BYTES is refused at any n.
 _ORACLE_AUTO_LIMIT = 512
 
 
@@ -166,6 +167,18 @@ def _not_json(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _in_float_range(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A ``json.loads`` number hook: ``parse``, refusing a number beyond
+    float range, such as ``1e999``, which ``float`` reads as inf."""
+    def hook(text: str):
+        value = parse(text)
+        if abs(value) > sys.float_info.max:  # compared exactly for an int
+            shown = text if len(text) < 30 else text[:12] + "..."
+            raise ValueError(f"{shown} is too large for a float")
+        return value
+    return hook
+
+
 def load_config(path: str) -> dict:
     """Parse and schema-validate a configuration file.
 
@@ -176,7 +189,8 @@ def load_config(path: str) -> dict:
     ``minLength`` and ``minItems``; ``$schema`` and ``title`` are ignored)
     and raises ``NotImplementedError`` on any other.  An integral float in
     an integer field is returned as an ``int``.  ``NaN`` and ``Infinity``
-    are refused: they are not JSON.
+    are refused, since they are not JSON, and so is a number beyond float
+    range.
 
     Error messages are anchored: JSON syntax errors carry line/column,
     schema violations carry the JSON pointer of the offending element.
@@ -187,7 +201,8 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        cfg = json.loads(raw, parse_constant=_not_json)
+        cfg = json.loads(raw, parse_constant=_not_json, parse_float=_in_float_range(float),
+                         parse_int=_in_float_range(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:

@@ -274,8 +274,9 @@ class MutationParams:
         Every operator of the same n and chi in the process reads one
         table: the pmfs of all flip counts 0..n are computed together when
         it is made, and each row is convolved on its first request and
-        then kept as a read-only array.  The exact chain and both level
-        samplers are handed the same arrays.
+        then kept as a read-only array.  The exact chain's move table, which
+        the jump-chain sampler reads too, and the population sampler are
+        handed the same arrays.
         """
         if not 0 <= z <= self.n:
             raise DomainError("zeros-count out of range")

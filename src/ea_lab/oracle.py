@@ -8,30 +8,27 @@ hitting times, success probabilities and exact drift values computed
 here are the ground truth that both the closed-form bounds and the
 Monte Carlo estimates are checked against.
 
-The chain's mutation kernel is built from the ``kernel_row`` of the
-mutation operator (:class:`~ea_lab.core.OneBitFlip` for RLS,
-:class:`~ea_lab.core.MutationParams` for the (1+1) EA), the row that also
-drives the level samplers in :mod:`ea_lab.algorithms`.  Standard bit
-mutation keeps one table of rows per (n, chi) in the process, so the
-chain and the samplers read the same arrays, and each row is convolved
-once, from flip-count pmfs that are all computed together.  The sampler
-jumps from level to level with the chain's accepted moves, so a
-simulated run costs O(level changes), while the chain here is dense:
-with the rows made, it costs O(n^2) time and memory to build, and it is
-built for n <= ``MAX_CHAIN_N`` only.
+The chain is banded: a :class:`MoveTable` lists each level's accepted
+moves, read from the ``kernel_row`` of the mutation operator
+(:class:`~ea_lab.core.OneBitFlip` for RLS,
+:class:`~ea_lab.core.MutationParams` for the (1+1) EA), and the
+jump-chain sampler of :mod:`ea_lab.algorithms` reads the same table.  It
+costs O(n w) for rows of w entries (a few hundred for standard bit
+mutation at chi = 1, two for RLS).
 
 Selection is elitist, so the chain never moves to a level of lower
 fitness and the hitting-time system is block-triangular in fitness
 order.  It is solved one fitness class at a time, best class first: a
-class of one level costs one division by that level's leave mass (the
-sum of its off-diagonal accepted moves, accurate even where the
-self-loop rounds to 1), and a plateau class one dense solve of the
-class's size.
+class of one level costs one division by its s (accurate even where the
+self-loop rounds to 1), and a plateau class one dense solve of its size.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,52 +36,129 @@ from .core import (
     DomainError, Mutation, MutationParams, OneBitFlip, UnitationSpec, flip_count_pmf_table
 )
 
-ROW_SUM_TOL = 1e-12
+# The bytes an exact chain may take.  Its rows are estimated at
+# _ENTRY_BYTES per kernel-row entry plus _LEVEL_BYTES per level, 15 kB a
+# level for standard bit mutation at chi = 1 (OneMax uses about 10 kB),
+# and the plateau solve of its largest fitness class c at _BLOCK_BYTES c^2:
+# the block, the solver's copy of it and a boolean support.  That puts
+# needle(4096) at 0.35 GB and OneMax at n = 50,000 at 0.76 GB.
+CHAIN_BYTES = 800_000_000
+_ENTRY_BYTES, _LEVEL_BYTES, _BLOCK_BYTES = 40, 1000, 17
 
-# The chain is dense: one (n+1) x (n+1) float64 matrix takes 8 (n+1)^2
-# bytes, 134 MB at n = 4096 and 29 GB at n = 60,000.  Building it holds
-# the kernel, P and a temporary of that size at once, and the hitting-time
-# solve the same three, so a chain at this limit needs about 0.4 GB.
-MAX_CHAIN_N = 4096
+
+class Moves(NamedTuple):
+    """The accepted moves out of one level: each destination other than
+    the level itself, most likely first, its probability, and their
+    running sum, which ends at s, the probability of leaving the level.
+    The self-loop, 1 - s, is not stored."""
+
+    dests: np.ndarray
+    probs: np.ndarray
+    cum: np.ndarray
+    s: float  # cum[-1], or 0 without moves
+
+
+class MoveTable:
+    """The accepted moves of RLS or the (1+1) EA on ``spec`` under
+    ``mutation``, offspring at least as fit as the parent: ``level(z)``
+    tables the :class:`Moves` of level ``z`` on first request, and
+    ``jump(z)`` the sampler's view of them, kept in ``jumps``."""
+
+    def __init__(self, spec: UnitationSpec, mutation: Mutation):
+        self.table, self.mutation = spec.value_table, mutation
+        self.values = spec.value_table.tolist()
+        self.levels: dict[int, Moves] = {}
+        self.jumps: dict[int, tuple] = {}
+
+    def level(self, z: int) -> Moves:
+        moves = self.levels.get(z)
+        if moves is None:
+            lo, probs = self.mutation.kernel_row(z)
+            accepted = self.table[lo : lo + probs.size] >= self.values[z]
+            if lo <= z < lo + probs.size:
+                accepted[z - lo] = False
+            dests = accepted.nonzero()[0]
+            dests = dests[(-probs[dests]).argsort(kind="stable")]
+            probs = probs[dests]
+            if probs.size and not probs[-1]:  # zeros, from underflowed tails, sort last
+                keep = np.count_nonzero(probs)
+                dests, probs = dests[:keep], probs[:keep]
+            cum = probs.cumsum()
+            s = float(cum[-1]) if cum.size else 0.0
+            moves = self.levels[z] = Moves(dests + lo, probs, cum, s)
+        return moves
+
+    def jump(self, z: int) -> tuple:
+        """``(log_stay, dests, cum)``: log(1 - s) (None when s = 0), and
+        lists of the moves up to the first whose running sum reaches s,
+        since the later ones cannot change the float sum and a bisection
+        never picks them.  ``dests`` repeats its last level, for a
+        bisection of ``cum`` at U * s that rounds up to s."""
+        jump = self.jumps.get(z)
+        if jump is None:
+            dests, _, cum, s = self.level(z)
+            if s == 0.0:
+                jump = (None, [], [])
+            else:
+                useful = int(cum.searchsorted(s)) + 1
+                log_stay = math.log1p(-s) if s < 1.0 else -math.inf  # s can round above 1
+                picks = dests[:useful].tolist()
+                jump = (log_stay, picks + picks[-1:], cum[:useful].tolist())
+            self.jumps[z] = jump
+        return jump
+
+
+_cached_move_table = functools.lru_cache(maxsize=8)(MoveTable)
+_last_move_table: tuple = (None, None, None)
+
+
+def move_table(spec: UnitationSpec, mutation: Mutation) -> MoveTable:
+    """The process's table of ``spec`` under ``mutation``.  The runs of a
+    batch share one spec and one operator object, so the last request is
+    matched by identity, without hashing them."""
+    global _last_move_table
+    last_spec, last_mutation, table = _last_move_table
+    if last_spec is not spec or last_mutation is not mutation:
+        table = _cached_move_table(spec, mutation)
+        _last_move_table = (spec, mutation, table)
+    return table
 
 
 @dataclass(frozen=True)
 class LevelChain:
-    """Absorbing Markov chain over zeros-count levels.
-
-    ``mutation_kernel`` is the raw proposal kernel (before selection);
-    ``P`` applies elitist acceptance: proposals with strictly worse
-    fitness are folded into the self-loop, ties are accepted.  Rows of
-    both matrices sum to 1 within ``ROW_SUM_TOL``.  Absorbing states are
-    the zeros-counts of maximum fitness and have identity rows.
-    """
+    """Absorbing Markov chain over zeros-count levels: ``moves[z]`` are
+    the accepted moves out of level ``z``.  The absorbing level, the
+    optimum, has none."""
 
     n: int
     kind: str  # "RLS" or "OnePlusOneEA"
     value_table: np.ndarray
-    mutation_kernel: np.ndarray
-    P: np.ndarray
+    moves: tuple[Moves, ...]
     absorbing: np.ndarray  # boolean mask over levels
 
 
 _DEFAULT_MUTATION = {"RLS": OneBitFlip, "OnePlusOneEA": MutationParams}
 
 
+def _chain_bytes(spec: UnitationSpec, mutation: Mutation) -> float:
+    """The estimated bytes of the chain of ``spec`` under ``mutation``."""
+    n, width = spec.n, 2
+    if isinstance(mutation, MutationParams):
+        # A row convolves the flip counts of the zero-bits and of the
+        # one-bits, each range at most that of all n bits.
+        width = min(2 * np.count_nonzero(flip_count_pmf_table(n, mutation.rate)), n + 1)
+    largest_class = np.unique(spec.value_table, return_counts=True)[1].max()
+    return ((n + 1) * (_LEVEL_BYTES + _ENTRY_BYTES * width)
+            + _BLOCK_BYTES * float(largest_class) ** 2)
+
+
 def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None = None) -> LevelChain:
     """Exact level chain for RLS or the (1+1) EA on ``spec`` under
-    ``mutation``, by default the kind's operator at chi = 1.
-
-    Selection accepts offspring of fitness greater than or equal to the
-    parent fitness (the (1+1) EA tie rule); rejected mass goes to the
-    self-loop.  A chain above ``MAX_CHAIN_N`` is refused before anything
-    is allocated.
+    ``mutation``, by default the kind's operator at chi = 1: every level
+    of its :class:`MoveTable`.  A chain estimated above ``CHAIN_BYTES`` is
+    refused before anything is allocated.
     """
     n = spec.n
-    if n > MAX_CHAIN_N:
-        gb = 8 * (n + 1) ** 2 / 1e9
-        raise DomainError(f"the exact level chain at n = {n} needs dense matrices of "
-                          f"{gb:.3g} GB each; it is built for n <= {MAX_CHAIN_N} only")
-    table = spec.value_table
     if kind not in _DEFAULT_MUTATION:
         raise DomainError(f"unsupported algorithm kind for oracle: {kind}")
     if mutation is None:
@@ -93,26 +167,14 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None 
         raise DomainError("RLS, and only RLS, mutates by OneBitFlip")
     if mutation.n != n:
         raise DomainError("mutation parameters sized for a different n")
-    kernel = np.zeros((n + 1, n + 1))
-    for z in range(n + 1):
-        lo, probs = mutation.kernel_row(z)
-        kernel[z, lo : lo + probs.size] = probs
-        # Fold the tiny summation residual into the self-loop.
-        kernel[z, z] += 1.0 - kernel[z].sum()
-
-    absorbing = table == table.max()
-    accept = table[None, :] >= table[:, None]
-    P = np.where(accept, kernel, 0.0)
-    P[np.diag_indices(n + 1)] += np.where(accept, 0.0, kernel).sum(axis=1)
-    top = np.flatnonzero(absorbing)
-    P[top] = 0.0
-    P[top, top] = 1.0
-    assert np.all(np.abs(P.sum(axis=1) - 1.0) < 1e-9)
-    P.setflags(write=False)
-    kernel.setflags(write=False)
-    return LevelChain(
-        n=n, kind=kind, value_table=table, mutation_kernel=kernel, P=P, absorbing=absorbing
-    )
+    size = _chain_bytes(spec, mutation)
+    if size > CHAIN_BYTES:
+        raise DomainError(f"the exact level chain at n = {n} needs about {size / 1e9:.3g} GB; "
+                          f"it is built up to {CHAIN_BYTES / 1e9:.3g} GB only")
+    table = move_table(spec, mutation)
+    return LevelChain(n=n, kind=kind, value_table=spec.value_table,
+                      moves=tuple(table.level(z) for z in range(n + 1)),
+                      absorbing=spec.value_table == spec.value_table.max())
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +199,9 @@ def binomial_start(n: int) -> np.ndarray:
 # Exact quantities
 
 
-def expected_hitting_times(chain: LevelChain) -> np.ndarray:
-    """Expected generations to absorption from each level (0 on absorbing)."""
-    return expected_hitting_times_to(chain, chain.absorbing)
-
-
 def _can_reach(support: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    """Levels from which some path along ``support`` (a boolean matrix of
-    one-step moves) reaches a level of ``goal`` (a boolean mask)."""
+    """Members from which some path along ``support`` (a boolean matrix of
+    one-step moves) reaches a member of ``goal`` (a boolean mask)."""
     reach = goal.copy()
     frontier = goal
     while frontier.any():
@@ -172,27 +229,44 @@ def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarr
         raise DomainError("target set must be non-empty")
     if np.any(chain.absorbing & ~target):
         raise DomainError("an absorbing level outside the target is never left")
-    P = chain.P
-    support = P > 0
-    support[target] = False  # the chain stops at its first target visit
-    doomed = _can_reach(support, ~_can_reach(support, target))
-    live = (~target & ~doomed).tolist()
-    # Summed off the diagonal, not 1 - P_zz, which loses s once P_zz rounds to 1.
-    leave = np.where(np.eye(chain.n + 1, dtype=bool), 0.0, P).sum(axis=1)
-    # Target and doomed levels enter as 0: live rows put no mass on doomed ones.
-    t = np.zeros(chain.n + 1)
+    # Best class first: every move out of a class goes to a level already
+    # solved.  Levels not yet solved, and those that never reach the target,
+    # hold inf, which a move to them carries over (every move has p > 0).
+    t = np.where(target, 0.0, np.inf)
     for level in reversed(_fitness_classes(chain.value_table)):
-        idx = [z for z in level if live[z]]
-        # Levels of this class and worse ones still hold 0 here.
+        idx = [z for z in level if not target[z]]
         if len(idx) == 1:
-            z = idx[0]
-            t[z] = (1.0 + P[z] @ t) / leave[z]
+            m = chain.moves[idx[0]]
+            if m.dests.size:
+                t[idx[0]] = (1.0 + m.probs @ t[m.dests]) / m.s
         elif idx:
-            block = -P[np.ix_(idx, idx)]
-            block[np.diag_indices(len(idx))] = leave[idx]
-            t[idx] = np.linalg.solve(block, 1.0 + P[idx] @ t)
-    t[doomed] = np.inf
+            _solve_plateau(chain, np.array(idx), t)
     return t
+
+
+def _solve_plateau(chain: LevelChain, idx: np.ndarray, t: np.ndarray) -> None:
+    """Solve into ``t`` the finite times of ``idx``, the non-target levels
+    of one fitness class, by one dense solve."""
+    c = idx.size
+    at = np.full(chain.n + 1, -1)
+    at[idx] = np.arange(c)
+    block, rhs, exits = np.zeros((c, c)), np.ones(c), np.zeros(c, bool)
+    for i, z in enumerate(idx.tolist()):
+        m = chain.moves[z]
+        into = at[m.dests]
+        inside = into >= 0
+        block[i, into[inside]] = -m.probs[inside]
+        block[i, i] = m.s
+        rhs[i] += m.probs[~inside] @ t[m.dests[~inside]]
+        exits[i] = not inside.all()
+    # Finite: no path within the class to a level that moves to an infinite
+    # one (rhs inf) or from which no path leaves the class.
+    support = block < 0
+    live = ~_can_reach(support, np.isinf(rhs) | ~_can_reach(support, exits))
+    if not live.all():
+        block, rhs = block[np.ix_(live, live)], rhs[live]
+    if live.any():
+        t[idx[live]] = np.linalg.solve(block, rhs)
 
 
 def _checked_start(chain: LevelChain, start) -> np.ndarray:
@@ -223,20 +297,17 @@ def exact_success_probability(chain: LevelChain, start: np.ndarray, t: int) -> f
     if t < 0:
         raise DomainError("t must be non-negative")
     v = _checked_start(chain, start)
+    # A step keeps 1 - s of each level's mass and moves the rest along its moves.
+    src = np.repeat(np.arange(chain.n + 1), [m.dests.size for m in chain.moves])
+    dests = np.concatenate([m.dests for m in chain.moves])
+    probs = np.concatenate([m.probs for m in chain.moves])
+    stay = 1.0 - np.array([m.s for m in chain.moves])
+    transient = ~chain.absorbing
     for _ in range(t):
-        remaining = float(v[~chain.absorbing].sum())
-        if remaining < 1e-300:
+        if v[transient].sum() < 1e-300:
             break
-        v = v @ chain.P
+        v = v * stay + np.bincount(dests, v[src] * probs, chain.n + 1)
     return float(v[chain.absorbing].sum())
-
-
-def _drift(matrix: np.ndarray, d: np.ndarray, rows) -> np.ndarray:
-    """Expected one-step decrease of ``d`` under ``matrix`` at ``rows``; NaN elsewhere."""
-    drift = np.full(d.size, np.nan)
-    for z in rows:
-        drift[z] = float(np.dot(matrix[z], d[z] - d))
-    return drift
 
 
 def exact_drift(chain: LevelChain, distance) -> np.ndarray:
@@ -249,13 +320,11 @@ def exact_drift(chain: LevelChain, distance) -> np.ndarray:
     d = np.array([float(distance(z)) for z in range(chain.n + 1)])
     if np.any(d[chain.absorbing] != 0.0) or np.any(d[~chain.absorbing] <= 0.0):
         raise DomainError("distance must vanish exactly on absorbing levels")
-    return _drift(chain.P, d, np.flatnonzero(~chain.absorbing))
-
-
-def mutation_drift(chain: LevelChain, distance) -> np.ndarray:
-    """Like :func:`exact_drift` but on the raw mutation kernel (no selection)."""
-    d = np.array([float(distance(z)) for z in range(chain.n + 1)])
-    return _drift(chain.mutation_kernel, d, range(chain.n + 1))
+    drift = np.full(d.size, np.nan)
+    for z in np.flatnonzero(~chain.absorbing).tolist():
+        m = chain.moves[z]
+        drift[z] = float(m.probs @ (d[z] - d[m.dests]))
+    return drift
 
 
 def jump_tail(chain: LevelChain, z: int, j: int) -> float:
@@ -264,9 +333,10 @@ def jump_tail(chain: LevelChain, z: int, j: int) -> float:
         raise DomainError("zeros-count out of range")
     if j < 0:
         raise DomainError("j must be non-negative")
-    row = chain.P[z]
-    levels = np.arange(chain.n + 1)
-    return float(row[np.abs(levels - z) >= j].sum())
+    if j == 0:
+        return 1.0
+    m = chain.moves[z]
+    return float(m.probs[np.abs(m.dests - z) >= j].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +374,9 @@ def fitness_level_data(chain: LevelChain) -> FitnessLevelData:
     s_min = np.empty(len(levels) - 1)
     s_max = np.empty(len(levels) - 1)
     for i, level in enumerate(levels[:-1]):
-        better = values > values[level[0]]
-        probs = [float(chain.P[z, better].sum()) for z in level]
+        # The probability of moving to a level of strictly better fitness.
+        moves = [chain.moves[z] for z in level]
+        probs = [float(m.probs[values[m.dests] > values[z]].sum()) for z, m in zip(level, moves)]
         s_min[i] = min(probs)
         s_max[i] = max(probs)
     return FitnessLevelData(levels=levels, s_min=s_min, s_max=s_max)

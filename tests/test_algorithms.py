@@ -16,7 +16,6 @@ from ea_lab.algorithms import (
     Budget,
     TieBreak,
     _first_of,
-    _JumpChain,
     _LevelPop,
     _levels,
     _merged,
@@ -38,6 +37,7 @@ from ea_lab.core import (
 )
 from ea_lab.empirics import Experiment, StartPolicy, run_batch
 from ea_lab.oracle import (
+    MoveTable,
     binomial_start,
     build_level_chain,
     exact_success_probability,
@@ -372,16 +372,31 @@ def test_censored_transition_counts_cover_all_evaluations(seed):
 # The level sampler's runtime distribution matches the exact chain
 
 
-def _exact_cdf(chain, start, ts):
+def _reference_P(spec, mutation):
+    """The chain's dense transition matrix, built from the operator's
+    ``kernel_row`` and the value table: ties and better offspring are
+    accepted, the rest stays, and the optimum's row is the identity."""
+    n, table = spec.n, spec.value_table
+    P = np.zeros((n + 1, n + 1))
+    for z in range(1, n + 1):
+        lo, probs = mutation.kernel_row(z)
+        P[z, lo : lo + probs.size] = np.where(table[lo : lo + probs.size] >= table[z], probs, 0.0)
+        P[z, z] = 0.0
+        P[z, z] = 1.0 - P[z].sum()
+    P[0, 0] = 1.0
+    return P
+
+
+def _exact_cdf(P, start, ts):
     """P(T <= t evaluations) at each of the increasing times ``ts``, which
     is the probability of absorption within t - 1 generations; one pass
     over t."""
     v, done, out = np.asarray(start, dtype=float), 0, []
     for t in ts:
         for _ in range(int(t) - 1 - done):
-            v = v @ chain.P
+            v = v @ P
         done = int(t) - 1
-        out.append(float(v[chain.absorbing].sum()))
+        out.append(float(v[0]))
     return out
 
 
@@ -405,9 +420,10 @@ def test_level_sampler_cdf_within_dkw_band(spec, kind, mutation, zeros, budget, 
     summary = run_batch(Experiment(spec, cfg, runs, 23, Budget(budget), start)).summary
     chain = build_level_chain(spec, kind.value, cfg.mutation)
     u = binomial_start(spec.n) if zeros is None else point_start(spec.n, zeros)
-    exact = _exact_cdf(chain, u, summary.curve_t)
+    exact = _exact_cdf(_reference_P(spec, cfg.mutation), u, summary.curve_t)
     mid = len(exact) // 2
-    assert exact[mid] == exact_success_probability(chain, u, int(summary.curve_t[mid]) - 1)
+    assert abs(exact[mid] - exact_success_probability(chain, u, int(summary.curve_t[mid]) - 1)) <= (
+        1e-13)
     # Dvoretzky-Kiefer-Wolfowitz: sup |F_N - F| <= eps with prob. >= 1 - alpha.
     eps = math.sqrt(math.log(2 / alpha) / (2 * runs))
     assert np.abs(summary.curve_p - exact).max() <= eps
@@ -458,10 +474,10 @@ def test_kernel_rows_are_shared_and_read_only():
 )
 def test_jump_chain_moves_are_the_chain_entries(spec, chi):
     mutation = MutationParams(spec.n, chi)
-    jump = _JumpChain(spec, mutation)
-    P = build_level_chain(spec, "OnePlusOneEA", mutation).P
+    table = MoveTable(spec, mutation)
+    P = _reference_P(spec, mutation)
     for z in range(spec.n + 1):
-        _, dests, cum = jump.level(z)
+        _, dests, cum = table.jump(z)
         moves = set(np.flatnonzero(P[z]).tolist()) - {z}
         tabled = dests[:-1]
         assert set(tabled) <= moves

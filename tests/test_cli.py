@@ -23,6 +23,7 @@ from ea_lab.cli import (
     load_config,
     main,
 )
+from ea_lab.core import MutationParams, needle, onemax
 
 
 def _config(**overrides):
@@ -209,8 +210,8 @@ def test_rls_chi_is_a_config_error(tmp_path, capsys, command, chi):
     ids=["afl-exact-bound", "forced-oracle"],
 )
 def test_oversized_chain_is_a_clean_error(tmp_path, capsys, command, overrides):
-    # n = 60,000 would need 29 GB per dense matrix: the size check fails
-    # before any chain or run is started.
+    # n = 60,000 is above the exact chain's byte budget: the size check
+    # fails before any chain or run is started.
     cfg = _write_config(tmp_path, function={"family": "onemax", "n": 60_000}, runs=2,
                         **overrides)
     out = tmp_path / "o"
@@ -222,7 +223,12 @@ def test_oversized_chain_is_a_clean_error(tmp_path, capsys, command, overrides):
 
 
 def test_chain_size_limit_admits_the_automatic_oracle():
-    assert cli._ORACLE_AUTO_LIMIT <= oracle.MAX_CHAIN_N
+    # The widest chain at the automatic limit: one plateau class of n
+    # levels, and kernel rows as wide as the space.
+    n = cli._ORACLE_AUTO_LIMIT
+    assert oracle._chain_bytes(needle(n), MutationParams(n, n / 2 - 1)) <= oracle.CHAIN_BYTES
+    assert oracle._chain_bytes(onemax(_OVERSIZED_N), MutationParams(_OVERSIZED_N)) > (
+        oracle.CHAIN_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +556,7 @@ def test_sweep_computes_fitness_levels_once_per_point(tmp_path, monkeypatch):
 
 
 _SWEEP = {"sweep": {"variable": "n", "values": [6, 8]}}
+_OVERSIZED_N = 60_000  # OneMax above the exact chain's byte budget at chi = 1
 _POPULATION = {"kind": "MuPlusLambdaEA", "mu": 2, "lambda": 2}
 _COMMA_TIES = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
 
@@ -576,8 +583,8 @@ _COMMA_TIES = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
         ("run", {"function": {"family": "linear", "weights": [1, 2, 3]},
                  "target_fitness": 6.5, "oracle": False},
          "target_fitness 6.5 is above the function's optimum 6.0"),
-        ("run", {"function": {"family": "onemax", "n": oracle.MAX_CHAIN_N + 1},
-                 "oracle": True}, f"exact level chain at n = {oracle.MAX_CHAIN_N + 1}"),
+        ("run", {"function": {"family": "onemax", "n": _OVERSIZED_N}, "oracle": True},
+         f"exact level chain at n = {_OVERSIZED_N}"),
         ("run", {"bounds": [{"id": "onemax_afl_upper"}, {"id": "no_such_theorem"}]},
          "unknown bound id 'no_such_theorem'"),
         ("run", {"bounds": [{"id": "markov", "params": {"expectation": "abc", "t": 5}}]},
@@ -962,4 +969,33 @@ def test_non_finite_constants_are_refused(tmp_path, monkeypatch, capsys, overrid
     assert code == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err == f"error: {cfg}: {constant} is not a JSON number\n"
+    assert captured.out == "" and not out.exists()
+
+
+# A literal beyond float range: "BIG" in the written config is replaced by it.
+@pytest.mark.parametrize("command, overrides, literal, message", [
+    ("run", {"function": {"family": "linear", "weights": [1, "BIG", 3]},
+             "bounds": [{"id": "linear_runtime_upper"}]},
+     "1e999", "1e999 is too large for a float"),
+    ("run", {"target_fitness": "BIG"}, "-1e999", "-1e999 is too large for a float"),
+    ("bounds", {"algorithm": {"kind": "OnePlusOneEA", "chi": "BIG"}}, "1" + "0" * 400,
+     "100000000000... is too large for a float"),
+], ids=["huge-weight", "huge-negative-target", "huge-integer-chi"])
+def test_numbers_beyond_float_range_are_refused(tmp_path, monkeypatch, capsys, command,
+                                                overrides, literal, message):
+    from ea_lab import empirics
+
+    def fail(*args, **kwargs):
+        raise AssertionError("run_batch called on a config beyond float range")
+
+    monkeypatch.setattr(empirics, "run_batch", fail)
+    cfg = _write_config(tmp_path, **overrides)
+    with open(cfg) as fh:
+        text = fh.read()
+    with open(cfg, "w") as fh:
+        fh.write(text.replace('"BIG"', literal))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: {message}\n"
     assert captured.out == "" and not out.exists()

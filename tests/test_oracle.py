@@ -16,34 +16,99 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from ea_lab import oracle
 from ea_lab.core import (
     DomainError,
     MutationParams,
     OneBitFlip,
+    UnitationSpec,
+    gap,
     gap_function,
+    linear,
     needle,
     onemax,
+    plateau,
     plateau_function,
 )
 from ea_lab.oracle import (
-    MAX_CHAIN_N,
-    ROW_SUM_TOL,
+    CHAIN_BYTES,
     binomial_start,
     build_level_chain,
     exact_drift,
     exact_expected_hitting_time,
     exact_success_probability,
-    expected_hitting_times,
     expected_hitting_times_to,
     fitness_level_data,
     jump_tail,
-    mutation_drift,
     point_start,
 )
+
+ROW_SUM_TOL = 1e-12
 
 
 def harmonic(k):
     return sum(1.0 / i for i in range(1, k + 1))
+
+
+def expected_hitting_times(chain):
+    return expected_hitting_times_to(chain, chain.absorbing)
+
+
+# ---------------------------------------------------------------------------
+# Dense references
+
+
+def _kernel(mutation):
+    """The operator's mutation kernel as a dense matrix of its
+    ``kernel_row``s, the summation residual folded into the self-loop."""
+    n = mutation.n
+    kernel = np.zeros((n + 1, n + 1))
+    for z in range(n + 1):
+        lo, probs = mutation.kernel_row(z)
+        kernel[z, lo : lo + probs.size] = probs
+        kernel[z, z] += 1.0 - kernel[z].sum()
+    return kernel
+
+
+def _reference_P(spec, mutation):
+    """The elitist transition matrix built from the kernel and the value
+    table: worse offspring fold into the self-loop, ties are accepted, and
+    the optimum's row is the identity."""
+    table, kernel = spec.value_table, _kernel(mutation)
+    accept = table[None, :] >= table[:, None]
+    P = np.where(accept, kernel, 0.0)
+    P[np.diag_indices(spec.n + 1)] += np.where(accept, 0.0, kernel).sum(axis=1)
+    P[0] = 0.0
+    P[0, 0] = 1.0
+    return P
+
+
+def _dense(chain):
+    """The banded chain as a dense matrix: its accepted moves, and 1 - s
+    on the diagonal."""
+    P = np.diag([1.0 - m.s for m in chain.moves])
+    for z, m in enumerate(chain.moves):
+        P[z, m.dests] = m.probs
+    return P
+
+
+def _dense_hitting_times(P, values, target):
+    """Expected hitting times of ``target`` on the dense matrix ``P``, by
+    the fitness-ordered sweep over whole rows."""
+    support = P > 0
+    support[target] = False
+    doomed = oracle._can_reach(support, ~oracle._can_reach(support, target))
+    live = ~target & ~doomed
+    leave = np.where(np.eye(P.shape[0], dtype=bool), 0.0, P).sum(axis=1)
+    t = np.zeros(P.shape[0])
+    for level in reversed(oracle._fitness_classes(values)):
+        idx = [z for z in level if live[z]]
+        if idx:
+            block = -P[np.ix_(idx, idx)]
+            block[np.diag_indices(len(idx))] = leave[idx]
+            t[idx] = np.linalg.solve(block, 1.0 + P[idx] @ t)
+    t[doomed] = np.inf
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +120,9 @@ def harmonic(k):
 def test_rows_are_distributions(n, chi):
     if chi >= n:
         return
-    chain = build_level_chain(onemax(n), "OnePlusOneEA", MutationParams(n, chi))
-    for mat in (chain.mutation_kernel, chain.P):
+    mutation = MutationParams(n, chi)
+    chain = build_level_chain(onemax(n), "OnePlusOneEA", mutation)
+    for mat in (_kernel(mutation), _dense(chain)):
         assert np.all(mat >= 0)
         assert np.all(np.abs(mat.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
 
@@ -64,24 +130,22 @@ def test_rows_are_distributions(n, chi):
 def test_absorbing_rows_are_identity():
     chain = build_level_chain(onemax(8), "OnePlusOneEA")
     assert list(np.flatnonzero(chain.absorbing)) == [0]
-    assert chain.P[0, 0] == 1.0 and chain.P[0, 1:].sum() == 0.0
+    P = _dense(chain)
+    assert P[0, 0] == 1.0 and P[0, 1:].sum() == 0.0
 
 
 def test_elitist_rejection_folds_into_self_loop():
     chain = build_level_chain(onemax(6), "OnePlusOneEA")
-    table = chain.value_table
+    table, P, kernel = chain.value_table, _dense(chain), _kernel(MutationParams(6))
     for z in range(1, 7):
         worse = table < table[z]
-        assert np.all(chain.P[z, worse] == 0)
-        rejected = chain.mutation_kernel[z, worse].sum()
-        assert chain.P[z, z] == pytest.approx(
-            chain.mutation_kernel[z, z] + rejected, abs=1e-14
-        )
+        assert np.all(P[z, worse] == 0)
+        rejected = kernel[z, worse].sum()
+        assert P[z, z] == pytest.approx(kernel[z, z] + rejected, abs=1e-14)
 
 
 def test_rls_kernel_moves_by_one_level():
-    chain = build_level_chain(onemax(5), "RLS")
-    k = chain.mutation_kernel
+    k = _kernel(OneBitFlip(5))
     for z in range(6):
         for z2 in range(6):
             if abs(z - z2) > 1:
@@ -116,7 +180,7 @@ def _per_flip_count_kernel(n, p):
 # satisfies 0 < chi < n; n = 1 has none, and its RLS kernel is checked below.
 @pytest.mark.parametrize("n, chi", [(2, 1.0), (17, 1.0), (17, 2.5), (64, 1.0), (64, 2.5)])
 def test_mutation_kernel_matches_per_flip_count_loop(n, chi):
-    kernel = build_level_chain(onemax(n), "OnePlusOneEA", MutationParams(n, chi)).mutation_kernel
+    kernel = _kernel(MutationParams(n, chi))
     assert np.abs(kernel - _per_flip_count_kernel(n, chi / n)).max() <= 1e-15
     assert np.all(np.abs(kernel.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
 
@@ -129,7 +193,7 @@ def test_rls_kernel_matches_closed_form(n):
             closed[z, z - 1] = z / n
         if z < n:
             closed[z, z + 1] = (n - z) / n
-    kernel = build_level_chain(onemax(n), "RLS").mutation_kernel
+    kernel = _kernel(OneBitFlip(n))
     assert np.abs(kernel - closed).max() <= 1e-15
     assert np.all(np.abs(kernel.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
 
@@ -141,6 +205,18 @@ def test_unknown_kind_rejected():
         build_level_chain(onemax(4), "MuPlusLambdaEA", MutationParams(4))
 
 
+def test_moves_are_the_positive_off_diagonal_entries():
+    # At n = 1000 some kernel rows end in entries that underflow to 0.
+    spec, mutation = onemax(1000), MutationParams(1000)
+    assert any(not mutation.kernel_row(z)[1].all() for z in range(1001))
+    chain = build_level_chain(spec, "OnePlusOneEA", mutation)
+    P = _reference_P(spec, mutation)
+    for z, m in enumerate(chain.moves):
+        assert set(m.dests.tolist()) == set(np.flatnonzero(P[z]).tolist()) - {z}
+        assert np.array_equal(m.probs, P[z, m.dests])
+        assert np.array_equal(m.cum, np.cumsum(m.probs)) and m.s == (m.cum[-1] if z else 0.0)
+
+
 def test_kind_and_mutation_must_match():
     with pytest.raises(DomainError, match="only RLS"):
         build_level_chain(onemax(4), "RLS", MutationParams(4))
@@ -148,17 +224,50 @@ def test_kind_and_mutation_must_match():
         build_level_chain(onemax(4), "OnePlusOneEA", OneBitFlip(4))
     with pytest.raises(DomainError, match="different n"):
         build_level_chain(onemax(4), "RLS", OneBitFlip(5))
-    assert np.array_equal(build_level_chain(onemax(4), "RLS", OneBitFlip(4)).P,
-                          build_level_chain(onemax(4), "RLS").P)
+    assert np.array_equal(_dense(build_level_chain(onemax(4), "RLS", OneBitFlip(4))),
+                          _dense(build_level_chain(onemax(4), "RLS")))
+
+
+def _refuse_tables(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a move table was requested")
+
+    monkeypatch.setattr(oracle, "move_table", refused)
+
+
+def _assert_refused(monkeypatch, spec, kind):
+    mutation = OneBitFlip(spec.n) if kind == "RLS" else MutationParams(spec.n)
+    size = oracle._chain_bytes(spec, mutation)
+    assert size > CHAIN_BYTES
+
+    def refused(*args):
+        raise AssertionError("a move table was requested")
+
+    monkeypatch.setattr(oracle, "move_table", refused)
+    with pytest.raises(DomainError, match=f"the exact level chain at n = {spec.n} needs about "
+                                          f"{size / 1e9:.3g} GB"):
+        build_level_chain(spec, kind)
+
+
+# The estimate is about 1 kB a level for RLS and 15 kB for standard bit
+# mutation at chi = 1, plus 17 c^2 bytes for the largest fitness class c.
+@pytest.mark.parametrize("kind", ["RLS", "OnePlusOneEA"])
+def test_oversized_chain_is_rejected_before_allocating(monkeypatch, kind):
+    _assert_refused(monkeypatch, onemax(800_000 if kind == "RLS" else 60_000), kind)
 
 
 @pytest.mark.parametrize("kind", ["RLS", "OnePlusOneEA"])
-def test_oversized_chain_is_rejected_before_allocating(kind):
-    # 8 (n+1)^2 bytes per dense matrix: about 29 GB at n = 60,000.
-    n = 60_000
-    assert n > MAX_CHAIN_N
-    with pytest.raises(DomainError, match=f"n = {n} needs dense matrices of 28.8 GB"):
-        build_level_chain(onemax(n), kind)
+def test_oversized_plateau_is_rejected_before_allocating(monkeypatch, kind):
+    # The rows of needle(10,000) fit: its plateau block is what is refused.
+    n = 10_000
+    block = oracle._BLOCK_BYTES * n**2
+    assert oracle._chain_bytes(needle(n), MutationParams(n)) - block <= CHAIN_BYTES
+    _assert_refused(monkeypatch, needle(n), kind)
+
+
+def test_chain_byte_budget_admits_a_4096_plateau_and_onemax_at_50000():
+    for spec in (needle(4096), onemax(50_000)):
+        assert oracle._chain_bytes(spec, MutationParams(spec.n)) <= CHAIN_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +407,52 @@ def test_hitting_times_match_exact_rationals(make, tol, chi):
         assert abs(Fraction(times[z]) - t) <= tol * t, z
 
 
+# For RLS, the wide gap's interior and the plateau before a trap are
+# classes of several levels that move to levels of infinite time.
+_BANDED_CASES = [onemax(40), gap_function(30, 3, 5), gap_function(30, 6, 5),
+                 plateau_function(30, 4, 10), UnitationSpec(20, [plateau(6), gap(3), linear(11)]),
+                 needle(10)]
+
+
+@pytest.mark.parametrize("kind, chi", [("RLS", None), ("OnePlusOneEA", 1.0),
+                                       ("OnePlusOneEA", 2.5)])
+@pytest.mark.parametrize("spec", _BANDED_CASES, ids=["onemax", "gap", "wide-gap", "plateau",
+                                                     "plateau-trap", "needle"])
+def test_banded_hitting_times_match_the_dense_reference(spec, kind, chi):
+    mutation = OneBitFlip(spec.n) if chi is None else MutationParams(spec.n, chi)
+    chain = build_level_chain(spec, kind, mutation)
+    dense = _dense_hitting_times(_reference_P(spec, mutation), spec.value_table,
+                                 chain.absorbing)
+    times = expected_hitting_times(chain)
+    assert np.array_equal(np.isinf(times), np.isinf(dense))
+    finite = np.isfinite(dense)
+    assert np.all(np.abs(times[finite] - dense[finite]) <= 1e-12 * dense[finite])
+
+
+def test_onemax_5000_hitting_time_matches_closed_form():
+    # From one zero, the (1+1) EA on OneMax improves only by flipping that
+    # bit and no other, with probability p (1 - p)^(n - 1).
+    n = 5000
+    p = 1.0 / n
+    times = expected_hitting_times(build_level_chain(onemax(n), "OnePlusOneEA"))
+    exact = 1.0 / (p * (1.0 - p) ** (n - 1))
+    assert abs(times[1] - exact) <= 1e-12 * exact
+
+
+class _ValueTable:
+    """A value table that no block list makes: under RLS, levels 3 and 4
+    form a class of equal value that nothing leaves, so 2..5 never reach
+    the optimum."""
+
+    n = 5
+    value_table = np.array([5.0, 4.0, 1.0, 2.0, 2.0, 0.0])
+
+
 @pytest.mark.parametrize("spec, kind, target", [
     (onemax(32), "RLS", {0}),
     (gap_function(20, 3, 5), "RLS", {0}),  # trapped at level 8: 6..20 never arrive
     (onemax(16), "OnePlusOneEA", {0, 5}),  # a target the chain can jump over
+    (_ValueTable(), "RLS", {0}),
 ])
 def test_rls_and_other_targets_match_exact_rationals(spec, kind, target):
     chain = build_level_chain(spec, kind)
@@ -349,10 +500,6 @@ def test_exact_drift_positive_on_onemax():
     drift = exact_drift(chain, lambda z: float(z))
     assert np.isnan(drift[0])
     assert np.all(drift[1:] > 0)
-    # Elitist selection can only reduce the zeros-count on this function,
-    # so the selected drift dominates the raw mutation drift.
-    raw = mutation_drift(chain, lambda z: float(z))
-    assert np.all(drift[1:] >= raw[1:] - 1e-12)
 
 
 def test_exact_drift_validates_distance():
@@ -406,7 +553,7 @@ def test_levels_that_can_miss_the_target_take_forever():
     times = expected_hitting_times(chain)
     assert np.flatnonzero(np.isinf(times)).tolist() == list(range(6, n + 1))
     finite = np.flatnonzero(~chain.absorbing & np.isfinite(times))
-    Q = chain.P[np.ix_(finite, finite)]
+    Q = _dense(chain)[np.ix_(finite, finite)]
     assert np.allclose(times[finite] - Q @ times[finite], 1.0, atol=1e-12)
     assert exact_expected_hitting_time(chain, point_start(n, 8)) == math.inf
     # Start mass only on finite levels keeps the expectation finite.
@@ -434,3 +581,8 @@ def test_fitness_level_data_groups_equal_values():
     assert len(data.levels) == 2
     assert set(data.levels[0]) == set(range(1, 7))
     assert np.all(data.s_min <= data.s_max)
+    # Moves within the plateau are accepted but are no improvement.
+    P = _reference_P(needle(6), MutationParams(6))
+    improve = [P[z, 0] for z in data.levels[0]]
+    assert data.s_min[0] == pytest.approx(min(improve), rel=1e-15)
+    assert data.s_max[0] == pytest.approx(max(improve), rel=1e-15)
