@@ -54,9 +54,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND_FAILURE = 2
 
-# The oracle's chain is banded, O(n w) for kernel rows of w entries, but its
-# solve is cubic in the size of a plateau, up to n on needle.  Above this n
-# it runs only when the configuration asks for it; a chain estimated above
+# The oracle's chain is banded, O(n w) for kernel rows of w entries, and a
+# plateau of c levels solves in O(c w^2), up to c = n on needle.  Above this
+# n it runs only when the configuration asks for it; a chain estimated above
 # oracle.CHAIN_BYTES is refused at any n.
 _ORACLE_AUTO_LIMIT = 512
 

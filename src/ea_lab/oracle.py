@@ -20,7 +20,7 @@ Selection is elitist, so the chain never moves to a level of lower
 fitness and the hitting-time system is block-triangular in fitness
 order.  It is solved one fitness class at a time, best class first: a
 class of one level costs one division by its s (accurate even where the
-self-loop rounds to 1), and a plateau class one dense solve of its size.
+self-loop rounds to 1), and a plateau class one state-reduction pass.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from .core import (
 # The bytes an exact chain may take.  Its rows are estimated at
 # _ENTRY_BYTES per kernel-row entry plus _LEVEL_BYTES per level, 15 kB a
 # level for standard bit mutation at chi = 1 (OneMax uses about 10 kB),
-# and the plateau solve of its largest fitness class c at _BLOCK_BYTES c^2:
-# the block, the solver's copy of it and a boolean support.  That puts
-# needle(4096) at 0.35 GB and OneMax at n = 50,000 at 0.76 GB.
+# and the plateau solve of its largest fitness class c at _BLOCK_BYTES c^2,
+# one float block.  That puts needle(4096) at 0.2 GB and OneMax at
+# n = 50,000 at 0.76 GB.
 CHAIN_BYTES = 800_000_000
-_ENTRY_BYTES, _LEVEL_BYTES, _BLOCK_BYTES = 40, 1000, 17
+_ENTRY_BYTES, _LEVEL_BYTES, _BLOCK_BYTES = 40, 1000, 8
 
 
 class Moves(NamedTuple):
@@ -199,25 +199,12 @@ def binomial_start(n: int) -> np.ndarray:
 # Exact quantities
 
 
-def _can_reach(support: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    """Members from which some path along ``support`` (a boolean matrix of
-    one-step moves) reaches a member of ``goal`` (a boolean mask)."""
-    reach = goal.copy()
-    frontier = goal
-    while frontier.any():
-        frontier = support[:, frontier].any(axis=1) & ~reach
-        reach |= frontier
-    return reach
-
-
 def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarray:
     """Expected generations to first reach any level in ``target``
     (a boolean mask), 0 on target levels themselves.
 
-    A level from which the chain can, with positive probability, reach a
-    level that never reaches the target (such as a trap of RLS on a gap)
-    has expected time infinity; the linear system is solved over the
-    other levels only, where it is non-singular.
+    A level that can reach, with positive probability, a level that never
+    reaches the target (such as a trap of RLS on a gap) takes forever.
 
     Used for block-local questions such as the time to jump a gap,
     where the target set is not the global optimum.
@@ -245,28 +232,41 @@ def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarr
 
 
 def _solve_plateau(chain: LevelChain, idx: np.ndarray, t: np.ndarray) -> None:
-    """Solve into ``t`` the finite times of ``idx``, the non-target levels
-    of one fitness class, by one dense solve."""
+    """Solve into ``t`` the times of ``idx``, the non-target levels of one
+    fitness class, by state reduction (Grassmann, Taksar & Heyman 1985).
+    The last level goes first: divided by its leave mass, a sum that never
+    subtracts, its moves, exit mass and right-hand side pass to the levels
+    that move into it.  In-class moves stay within w places in class
+    order, and so does the fill: O(c w^2)."""
     c = idx.size
     at = np.full(chain.n + 1, -1)
     at[idx] = np.arange(c)
-    block, rhs, exits = np.zeros((c, c)), np.ones(c), np.zeros(c, bool)
+    block, rhs, exits, w = np.zeros((c, c)), np.ones(c), np.zeros(c), 1
     for i, z in enumerate(idx.tolist()):
         m = chain.moves[z]
         into = at[m.dests]
-        inside = into >= 0
-        block[i, into[inside]] = -m.probs[inside]
-        block[i, i] = m.s
-        rhs[i] += m.probs[~inside] @ t[m.dests[~inside]]
-        exits[i] = not inside.all()
-    # Finite: no path within the class to a level that moves to an infinite
-    # one (rhs inf) or from which no path leaves the class.
-    support = block < 0
-    live = ~_can_reach(support, np.isinf(rhs) | ~_can_reach(support, exits))
-    if not live.all():
-        block, rhs = block[np.ix_(live, live)], rhs[live]
-    if live.any():
-        t[idx[live]] = np.linalg.solve(block, rhs)
+        inside, out = into >= 0, into < 0
+        block[i, into[inside]] = m.probs[inside]
+        exits[i] = m.probs[out].sum()
+        rhs[i] += m.probs[out] @ t[m.dests[out]]
+        w = max(w, int(np.abs(into[inside] - i).max(initial=0)))
+    with np.errstate(over="ignore"):  # a time beyond float range is inf
+        for k in range(c - 1, -1, -1):
+            lo = max(k - w, 0)
+            row, into = block[k, lo:k], block[lo:k, k]
+            s = row.sum() + exits[k]
+            rhs[k] = rhs[k] / s if s else np.inf  # it never leaves
+            if rhs[k] < np.inf:
+                row /= s
+                block[lo:k, lo:k] += np.outer(into, row)
+                exits[lo:k] += into * (exits[k] / s)
+            moves = into > 0  # infinity passes on, and 0 * inf is NaN
+            rhs[lo:k][moves] += into[moves] * rhs[k]
+        for k in range(1, c):
+            lo = max(k - w, 0)
+            moves = block[k, lo:k] > 0
+            rhs[k] += block[k, lo:k][moves] @ rhs[lo:k][moves]
+    t[idx] = rhs
 
 
 def _checked_start(chain: LevelChain, start) -> np.ndarray:

@@ -468,6 +468,17 @@ def test_unreachable_target_gives_infinite_oracle(tmp_path):
     assert summary["runtime"]["censored"] == 5
 
 
+def test_needle_oracle_keeps_its_digits(tmp_path):
+    # Regression: the plateau's dense solve gave 2.735559272330549e18 here.
+    cfg = _write_config(tmp_path, runs=2, budget=1000, function={"family": "needle", "n": 64},
+                        algorithm={"kind": "RLS"})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"]) == EXIT_OK
+    gens = json.loads((out / "summary.json").read_text())["oracle"]["expected_generations"]
+    assert gens == pytest.approx(1.8749493300771803e19, rel=1e-12)
+
+
 def _fresh_run(cfg, out, package):
     """``cli.main(["run", ...])`` in a fresh interpreter: its exit code and
     the modules of ``package`` loaded afterwards."""

@@ -92,12 +92,23 @@ def _dense(chain):
     return P
 
 
+def _can_reach(support, goal):
+    """Members from which some path along ``support`` (a boolean matrix of
+    one-step moves) reaches a member of ``goal`` (a boolean mask)."""
+    reach = goal.copy()
+    frontier = goal
+    while frontier.any():
+        frontier = support[:, frontier].any(axis=1) & ~reach
+        reach |= frontier
+    return reach
+
+
 def _dense_hitting_times(P, values, target):
     """Expected hitting times of ``target`` on the dense matrix ``P``, by
     the fitness-ordered sweep over whole rows."""
     support = P > 0
     support[target] = False
-    doomed = oracle._can_reach(support, ~oracle._can_reach(support, target))
+    doomed = _can_reach(support, ~_can_reach(support, target))
     live = ~target & ~doomed
     leave = np.where(np.eye(P.shape[0], dtype=bool), 0.0, P).sum(axis=1)
     t = np.zeros(P.shape[0])
@@ -250,7 +261,7 @@ def _assert_refused(monkeypatch, spec, kind):
 
 
 # The estimate is about 1 kB a level for RLS and 15 kB for standard bit
-# mutation at chi = 1, plus 17 c^2 bytes for the largest fitness class c.
+# mutation at chi = 1, plus 8 c^2 bytes for the largest fitness class c.
 @pytest.mark.parametrize("kind", ["RLS", "OnePlusOneEA"])
 def test_oversized_chain_is_rejected_before_allocating(monkeypatch, kind):
     _assert_refused(monkeypatch, onemax(800_000 if kind == "RLS" else 60_000), kind)
@@ -380,31 +391,37 @@ def _rational_hitting_times(spec, chi, target):
     return times
 
 
-# Each function's worst relative error.  Strictly ordered levels are
-# solved by one division each.  A plateau block is one dense solve, and
-# itself ill-conditioned: a dense LU over all levels reaches 6.0e-12 on
-# needle(16).
-_STRICT, _PLATEAU = 1e-12, 1e-11
+# The worst relative error allowed.  Strictly ordered levels are solved by
+# one division each, and a plateau class by state reduction, which never
+# subtracts; a dense LU of needle(16) reaches 6.0e-12.
+_STRICT = 1e-12
+
+
+def _assert_exact(times, exact):
+    """``times`` is inf where ``exact`` is None, else within _STRICT of it."""
+    assert np.isinf(times).tolist() == [t is None for t in exact]
+    for z, t in enumerate(exact):
+        if t is not None:
+            assert abs(Fraction(times[z]) - t) <= _STRICT * t, z
 
 
 @pytest.mark.parametrize("chi", [1, 2])
-@pytest.mark.parametrize("make, tol", [
-    (lambda: onemax(32), _STRICT),
-    (lambda: needle(12), _PLATEAU),
-    (lambda: needle(16), _PLATEAU),
-    (lambda: gap_function(32, 10, 4), _STRICT),  # P_zz rounds to 1 at the gap
-    (lambda: gap_function(24, 3, 2), _STRICT),
-    (lambda: plateau_function(20, 4, 3), _PLATEAU),
-    (lambda: plateau_function(32, 6, 10), _PLATEAU),
-], ids=["onemax-32", "needle-12", "needle-16", "gap-32-10-4", "gap-24-3-2",
+@pytest.mark.parametrize("make", [
+    lambda: onemax(32),
+    lambda: needle(12),
+    lambda: needle(16),
+    lambda: needle(24),
+    lambda: gap_function(32, 10, 4),  # P_zz rounds to 1 at the gap
+    lambda: gap_function(24, 3, 2),
+    lambda: plateau_function(20, 4, 3),
+    lambda: plateau_function(32, 6, 10),
+], ids=["onemax-32", "needle-12", "needle-16", "needle-24", "gap-32-10-4", "gap-24-3-2",
         "plateau-20-4-3", "plateau-32-6-10"])
-def test_hitting_times_match_exact_rationals(make, tol, chi):
+def test_hitting_times_match_exact_rationals(make, chi):
     spec = make()
     chain = build_level_chain(spec, "OnePlusOneEA", MutationParams(spec.n, chi))
     exact = _rational_hitting_times(spec, chi, set(np.flatnonzero(chain.absorbing).tolist()))
-    times = expected_hitting_times(chain)
-    for z, t in enumerate(exact):
-        assert abs(Fraction(times[z]) - t) <= tol * t, z
+    _assert_exact(expected_hitting_times(chain), exact)
 
 
 # For RLS, the wide gap's interior and the plateau before a trap are
@@ -447,22 +464,42 @@ class _ValueTable:
     n = 5
     value_table = np.array([5.0, 4.0, 1.0, 2.0, 2.0, 0.0])
 
+    def __repr__(self):
+        return f"_ValueTable({self.value_table.tolist()})"
+
 
 @pytest.mark.parametrize("spec, kind, target", [
     (onemax(32), "RLS", {0}),
     (gap_function(20, 3, 5), "RLS", {0}),  # trapped at level 8: 6..20 never arrive
     (onemax(16), "OnePlusOneEA", {0, 5}),  # a target the chain can jump over
     (_ValueTable(), "RLS", {0}),
+    (needle(48), "RLS", {0}),  # left only from level 1, with probability 1/48
 ])
 def test_rls_and_other_targets_match_exact_rationals(spec, kind, target):
     chain = build_level_chain(spec, kind)
     mask = np.isin(np.arange(spec.n + 1), list(target))
-    times = expected_hitting_times_to(chain, mask)
-    exact = _rational_hitting_times(spec, 1 if kind == "OnePlusOneEA" else None, target)
-    assert np.isinf(times).tolist() == [t is None for t in exact]
-    for z, t in enumerate(exact):
-        if t is not None:
-            assert abs(Fraction(times[z]) - t) <= _STRICT * t, z
+    _assert_exact(expected_hitting_times_to(chain, mask),
+                  _rational_hitting_times(spec, 1 if kind == "OnePlusOneEA" else None, target))
+
+
+@st.composite
+def _value_tables(draw):
+    """Value tables of n = 2..8 whose unique maximum is level 0 and whose
+    other levels take a few values, so that the fitness classes scatter
+    and may hold levels that never leave them."""
+    n = draw(st.integers(2, 8))
+    rest = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    table = _ValueTable()
+    table.n, table.value_table = n, np.array([4.0, *rest], dtype=float)
+    return table
+
+
+@given(spec=_value_tables(), kind=st.sampled_from(["RLS", "OnePlusOneEA"]))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_fitness_classes_match_exact_rationals(spec, kind):
+    chain = build_level_chain(spec, kind)
+    _assert_exact(expected_hitting_times(chain),
+                  _rational_hitting_times(spec, 1 if kind == "OnePlusOneEA" else None, {0}))
 
 
 # ---------------------------------------------------------------------------
