@@ -17,7 +17,6 @@ from .algorithms import (
 )
 from .bounds import BoundReport, Direction
 from .core import (
-    Bitstring,
     BlockKind,
     BlockSpec,
     FitnessFunction,
@@ -25,7 +24,6 @@ from .core import (
     OneBitFlip,
     RngStream,
     UnitationSpec,
-    evaluate,
     gap_function,
     linear_function,
     needle,
@@ -40,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmConfig",
     "AlgorithmKind",
-    "Bitstring",
     "BlockKind",
     "BlockSpec",
     "BoundReport",
@@ -56,7 +53,6 @@ __all__ = [
     "TieBreak",
     "UnitationSpec",
     "build_level_chain",
-    "evaluate",
     "exact_expected_hitting_time",
     "gap_function",
     "linear_function",

@@ -1,7 +1,8 @@
-"""Search-space primitives: bitstrings, seeded randomness, the mutation
-operators, binomial flip-count formulas and the unitation test-function
-composer.  A mutation operator's ``kernel_row`` feeds the exact level
-chain and the level samplers; its ``masks`` are the flips of bit runs.
+"""Search-space primitives: seeded randomness, the mutation operators,
+binomial flip-count formulas and the unitation test-function composer.
+A mutation operator's ``kernel_row`` feeds the exact level chain and the
+level samplers; its ``masks`` are the flips of bit runs, whose search
+points are uint8 0/1 rows.
 
 Unitation functions are described by an ordered list of blocks (linear,
 gap, plateau) scanned from the all-zeros bitstring towards the all-ones
@@ -20,10 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-
-
-class DimensionError(ValueError):
-    """A bitstring length does not match the function dimension."""
 
 
 class SpecError(ValueError):
@@ -175,72 +172,6 @@ class RngStream:
 
 
 # ---------------------------------------------------------------------------
-# Bitstrings
-
-
-class Bitstring:
-    """Fixed-length binary search point.
-
-    Immutable after construction; ``ones() + zeros() == n``.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: Sequence[int] | np.ndarray):
-        raw = np.asarray(bits)
-        if raw.ndim != 1 or raw.size == 0:
-            raise DimensionError("bits must be a non-empty 1-d sequence")
-        if not np.all((raw == 0) | (raw == 1)):
-            raise ValueError("bits must be 0/1 valued")
-        arr = raw.astype(np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Bitstring is immutable")
-
-    @property
-    def n(self) -> int:
-        return int(self.bits.size)
-
-    def ones(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def zeros(self) -> int:
-        return self.n - self.ones()
-
-    @classmethod
-    def all_ones(cls, n: int) -> "Bitstring":
-        return cls(np.ones(n, dtype=np.uint8))
-
-    @classmethod
-    def all_zeros(cls, n: int) -> "Bitstring":
-        return cls(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "Bitstring":
-        return cls(rng.integers(0, 2, size=n, dtype=np.uint8))
-
-    @classmethod
-    def with_zeros(cls, n: int, z: int, rng: np.random.Generator) -> "Bitstring":
-        """Uniform random bitstring with exactly ``z`` zero-bits."""
-        if not 0 <= z <= n:
-            raise DomainError("zeros-count out of range")
-        bits = np.ones(n, dtype=np.uint8)
-        bits[rng.choice(n, size=z, replace=False)] = 0
-        return cls(bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Bitstring) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self) -> int:
-        return hash(self.bits.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Bitstring({''.join(map(str, self.bits))})"
-
-
-# ---------------------------------------------------------------------------
 # Mutation
 
 
@@ -315,15 +246,6 @@ class OneBitFlip:
 
 
 Mutation = MutationParams | OneBitFlip
-
-
-def standard_bit_mutation(
-    x: Bitstring, p: MutationParams, rng: np.random.Generator
-) -> Bitstring:
-    """Flip each bit of ``x`` independently with probability ``p.rate``."""
-    if p.n != x.n:
-        raise DimensionError("mutation parameters sized for a different n")
-    return Bitstring(x.bits ^ p.masks(rng, 1)[0])
 
 
 def flip_count_pmf(n: int, p: float, j: int) -> float:
@@ -513,9 +435,6 @@ class BlockSpec:
         if self.kind is BlockKind.LINEAR and self.a <= 0:
             raise SpecError("linear block slope a must be positive")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "m": self.m, "a": self.a, "b": self.b}
-
     @classmethod
     def from_dict(cls, d: dict) -> "BlockSpec":
         return cls(
@@ -569,13 +488,6 @@ class UnitationSpec:
     @property
     def optimum_value(self) -> float:
         return self._optimum
-
-    def block_position(self, index: int) -> int:
-        """Position k of the block at ``index`` (lengths of all later blocks)."""
-        return sum(b.m for b in self.blocks[index + 1 :])
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "blocks": [b.to_dict() for b in self.blocks]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnitationSpec":
@@ -637,13 +549,6 @@ def build_value_table(spec: UnitationSpec) -> np.ndarray:
     return table
 
 
-def evaluate(spec: UnitationSpec, x: Bitstring) -> float:
-    """Fitness of ``x``; depends on ``x`` only through its zeros-count."""
-    if x.n != spec.n:
-        raise DimensionError(f"bitstring length {x.n} != spec.n {spec.n}")
-    return float(spec.value_table[x.zeros()])
-
-
 # Common named functions ----------------------------------------------------
 
 
@@ -701,11 +606,6 @@ class FitnessFunction:
     fn: Callable[[np.ndarray], float] = field(repr=False)
     optimum_value: float
     name: str = "custom"
-
-    def value(self, x: Bitstring) -> float:
-        if x.n != self.n:
-            raise DimensionError("bitstring length mismatch")
-        return float(self.fn(x.bits))
 
 
 class _LinearEval:

@@ -1,11 +1,10 @@
 """Monte Carlo experiment engine: batched runs, runtime statistics,
-empirical drift and tail estimation, and theorem-vs-experiment
-comparison tables.
+empirical drift estimation, and theorem-vs-experiment comparison tables.
 
 Runs are keyed by their stream index ``(master_seed, run_index)``, so a
 batch produces identical results whatever the worker count or execution
-order; raw samples serialize to a fixed-format CSV that reproduces the
-in-memory summary exactly.
+order; raw samples are written as ``samples.csv`` in a fixed format,
+whose bytes the tests pin.
 """
 
 from __future__ import annotations
@@ -86,11 +85,6 @@ class RunRecord(NamedTuple):
             f"{self.run_id},{self.seed_stream},{self.evaluations},"
             f"{int(self.success)},{self.best_fitness:.6f}"
         )
-
-    @classmethod
-    def from_line(cls, line: str) -> "RunRecord":
-        run_id, stream, evals, success, best = line.strip().split(",")
-        return cls(int(run_id), int(stream), int(evals), bool(int(success)), float(best))
 
 
 @dataclass
@@ -221,8 +215,9 @@ def run_batch(
     """Execute all runs of the experiment with per-run streams
     ``(master_seed, 0..runs-1)``; deterministic for a fixed experiment
     regardless of the worker count.  With ``workers > 1`` the runs are
-    shared by a process pool, unless they are jump-chain runs estimated
-    to take less than ``POOL_MIN_BATCH_S`` in all."""
+    shared by a process pool of at most one worker per chunk, unless they
+    are jump-chain runs estimated to take less than ``POOL_MIN_BATCH_S``
+    in all."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
     if not _pool_pays(exp):
@@ -234,6 +229,8 @@ def run_batch(
         for lo, hi in zip(edges[:-1], edges[1:])
         if hi > lo
     ]
+    # A pool starts all its workers at once: start no more than there are chunks.
+    workers = min(workers, len(chunk_args))
     if workers == 1:
         results = [_run_chunk(a) for a in chunk_args]
     else:
@@ -257,14 +254,6 @@ def run_batch(
 def samples_csv(records: list[RunRecord]) -> str:
     """The text of ``samples.csv``: the header, then one line per record."""
     return "\n".join([SAMPLE_HEADER] + [rec.to_line() for rec in records]) + "\n"
-
-
-def read_samples(path) -> list[RunRecord]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != SAMPLE_HEADER:
-            raise ValueError(f"unexpected sample header: {header!r}")
-        return [RunRecord.from_line(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +310,7 @@ def estimate_drift(
 
 
 # ---------------------------------------------------------------------------
-# Tails and comparisons
-
-
-def empirical_tail(summary: RuntimeSummary, t: float):
-    """Empirical P(T > t) with its Wilson 95% interval.
-
-    Censored runs count towards the tail (their runtime exceeded the
-    budget, hence any t within it)."""
-    if t < 0:
-        raise DomainError("t must be non-negative")
-    above = summary.runs - int(np.searchsorted(summary.hit_times, t, side="right"))
-    tail = above / summary.runs
-    lo, hi = wilson_interval(above, summary.runs)
-    return tail, (lo, hi)
+# Comparisons
 
 
 @dataclass

@@ -283,7 +283,8 @@ _BLOCKS_FN = {"family": "blocks", "n": 5, "blocks": [{"kind": "linear", "m": 5}]
          "cannot be swept"),
         ("run", {"start": {"policy": "FixedZeros"}}, "requires 'zeros'"),
         ("run", {"start": {"policy": "FixedZeros", "zeros": 9}}, "outside 0..8"),
-        ("sweep", {"sweep": {"variable": "n", "values": []}}, "must be non-empty"),
+        ("sweep", {"sweep": {"variable": "n", "values": []}},
+         "/sweep/values: [] should be non-empty"),
     ],
     ids=["linear-weights", "gap-m-k", "blocks-blocks", "blocks-sweep", "zeros-missing",
          "zeros-above-n", "sweep-empty"],

@@ -1,5 +1,5 @@
-"""Tests for bitstrings, mutation, binomial pmfs and the unitation
-function composer."""
+"""Tests for seeded randomness, mutation, binomial pmfs and the
+unitation function composer."""
 
 import math
 
@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from ea_lab.core import (
-    Bitstring,
     BlockKind,
     BlockSpec,
-    DimensionError,
     DomainError,
     MutationParams,
     OneBitFlip,
@@ -22,7 +20,6 @@ from ea_lab.core import (
     UnitationSpec,
     _LOG_ZERO,
     _log_factorials,
-    evaluate,
     flip_count_pmf,
     flip_count_pmf_table,
     gap,
@@ -34,7 +31,6 @@ from ea_lab.core import (
     onemax,
     plateau,
     plateau_function,
-    standard_bit_mutation,
 )
 
 
@@ -72,48 +68,6 @@ def test_stream_keys_equal_seed_sequence_spawning(master, index):
 
 
 # ---------------------------------------------------------------------------
-# Bitstrings
-
-
-def test_bitstring_counts_add_up():
-    x = Bitstring([1, 0, 1, 1, 0])
-    assert x.n == 5
-    assert x.ones() == 3
-    assert x.zeros() == 2
-    assert x.ones() + x.zeros() == x.n
-
-
-def test_bitstring_is_immutable():
-    x = Bitstring([1, 0])
-    with pytest.raises(AttributeError):
-        x.bits = np.array([0, 0])
-    with pytest.raises(ValueError):
-        x.bits[0] = 0
-
-
-def test_bitstring_rejects_non_binary():
-    with pytest.raises(ValueError):
-        Bitstring([0, 2])
-    with pytest.raises(ValueError):
-        Bitstring([0.5, 1])  # not truncated to 01
-    with pytest.raises(DimensionError):
-        Bitstring([])
-
-
-def test_with_zeros_has_requested_count():
-    rng = RngStream(0).generator()
-    for z in (0, 3, 10):
-        assert Bitstring.with_zeros(10, z, rng).zeros() == z
-
-
-def test_bitstring_equality_and_hash():
-    a = Bitstring([1, 0, 1])
-    b = Bitstring([1, 0, 1])
-    assert a == b and hash(a) == hash(b)
-    assert a != Bitstring([1, 1, 1])
-
-
-# ---------------------------------------------------------------------------
 # Mutation
 
 
@@ -123,22 +77,6 @@ def test_mutation_params_domain():
     with pytest.raises(DomainError):
         MutationParams(n=10, chi=10.0)
     assert MutationParams(n=10, chi=2.0).rate == pytest.approx(0.2)
-
-
-def test_mutation_preserves_length_and_mixes():
-    rng = RngStream(42).generator()
-    x = Bitstring.all_zeros(200)
-    p = MutationParams(n=200, chi=1.0)
-    flipped = [standard_bit_mutation(x, p, rng).ones() for _ in range(500)]
-    assert all(0 <= f <= 200 for f in flipped)
-    # Mean flip count should be about chi = 1.
-    assert 0.7 < np.mean(flipped) < 1.3
-
-
-def test_mutation_dimension_mismatch():
-    rng = RngStream(0).generator()
-    with pytest.raises(DimensionError):
-        standard_bit_mutation(Bitstring.all_ones(5), MutationParams(n=6), rng)
 
 
 def _reference_kernel_row(n, z, rate):
@@ -296,13 +234,6 @@ def test_plateau_end_is_one_above_interior():
     assert np.array_equal(spec.value_table, [2, 1, 1, 1, 0])
 
 
-def test_block_position_is_suffix_length():
-    spec = UnitationSpec(10, [linear(4), gap(3), linear(3)])
-    assert spec.block_position(0) == 6
-    assert spec.block_position(1) == 3
-    assert spec.block_position(2) == 0
-
-
 def test_table_minimum_is_zero_and_max_unique():
     spec = gap_function(12, 3, 2)
     t = spec.value_table
@@ -311,10 +242,15 @@ def test_table_minimum_is_zero_and_max_unique():
 
 
 def test_serialization_roundtrip():
-    spec = UnitationSpec(9, [linear(4, a=2.0, b=1.0), plateau(3), linear(2)])
-    again = UnitationSpec.from_dict(spec.to_dict())
-    assert again == spec
-    assert np.array_equal(again.value_table, spec.value_table)
+    # The reader of the "blocks" family: a and b default to 1 and 0.
+    spec = UnitationSpec.from_dict({"n": 9, "blocks": [
+        {"kind": "linear", "m": 4, "a": 2.0, "b": 1.0},
+        {"kind": "plateau", "m": 3},
+        {"kind": "linear", "m": 2},
+    ]})
+    direct = UnitationSpec(9, [linear(4, a=2.0, b=1.0), plateau(3), linear(2)])
+    assert spec == direct
+    assert np.array_equal(spec.value_table, direct.value_table)
 
 
 @st.composite
@@ -339,18 +275,6 @@ def unitation_specs(draw):
         return None
 
 
-@given(unitation_specs(), st.integers(0, 10**9))
-@settings(max_examples=80, deadline=None)
-def test_fitness_depends_only_on_zeros_count(spec, seed):
-    if spec is None:
-        return
-    rng = RngStream(seed).generator()
-    z = int(rng.integers(0, spec.n + 1))
-    x = Bitstring.with_zeros(spec.n, z, rng)
-    y = Bitstring.with_zeros(spec.n, z, rng)
-    assert evaluate(spec, x) == evaluate(spec, y) == spec.value_table[z]
-
-
 @given(unitation_specs())
 @settings(max_examples=80, deadline=None)
 def test_optimum_always_unique_max_at_zero(spec):
@@ -362,11 +286,6 @@ def test_optimum_always_unique_max_at_zero(spec):
     assert t.min() == 0.0
 
 
-def test_evaluate_dimension_check():
-    with pytest.raises(DimensionError):
-        evaluate(onemax(5), Bitstring.all_ones(6))
-
-
 # ---------------------------------------------------------------------------
 # Generic objectives
 
@@ -374,7 +293,7 @@ def test_evaluate_dimension_check():
 def test_linear_function_values():
     f = linear_function([3.0, 1.0, 2.0])
     assert f.optimum_value == 6.0
-    assert f.value(Bitstring([1, 0, 1])) == 5.0
+    assert f.fn(np.array([1, 0, 1], dtype=np.uint8)) == 5.0
 
 
 def test_linear_function_rejects_bad_weights():

@@ -28,9 +28,7 @@ from ea_lab.empirics import (
     RunRecord,
     StartPolicy,
     compare,
-    empirical_tail,
     estimate_drift,
-    read_samples,
     run_batch,
     samples_csv,
     summarize,
@@ -144,6 +142,16 @@ def test_population_batch_uses_the_pool(monkeypatch):
     assert started == [2]
 
 
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # A process pool starts all max_workers processes at once; 3 runs make
+    # 3 chunks.
+    started = _count_pools(monkeypatch, ThreadPoolExecutor)
+    exp = Experiment(linear_function([3, 1, 4]), one_plus_one_config(3), runs=3,
+                     master_seed=2, budget=Budget(1000))
+    assert run_batch(exp, workers=64).records == run_batch(exp, workers=1).records
+    assert started == [3]
+
+
 def test_population_batch_matches_one_worker(monkeypatch):
     # Level histograms with per-cohort order (PreferOffspring on a plateau).
     started = _count_pools(monkeypatch, ProcessPoolExecutor)
@@ -226,25 +234,6 @@ def test_run_count_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_samples_roundtrip(tmp_path):
-    batch = run_batch(_exp(runs=30))
-    path = tmp_path / "samples.csv"
-    path.write_text(samples_csv(batch.records))
-    again = read_samples(path)
-    assert again == batch.records
-
-
-def test_read_samples_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_samples(path)
-
-
-# ---------------------------------------------------------------------------
 # Drift estimation
 
 
@@ -279,15 +268,7 @@ def test_drift_estimation_needs_unitation():
 
 
 # ---------------------------------------------------------------------------
-# Tails and comparison
-
-
-def test_empirical_tail_counts_censored_runs():
-    records = [RunRecord(0, 0, 10, True, 5.0), RunRecord(1, 1, 50, False, 3.0)]
-    s = summarize(records, budget=50)
-    tail, (lo, hi) = empirical_tail(s, 20.0)
-    assert tail == 0.5
-    assert lo < tail < hi
+# Comparison
 
 
 def test_compare_directions():
