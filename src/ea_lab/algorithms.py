@@ -4,14 +4,15 @@ and the (mu,lambda) EA, all started through :func:`run_algorithm`.
 Runtime is counted in fitness evaluations including the initial
 population, so the initial evaluation can already hit the optimum.
 On a unitation function the zeros-count of each individual is a
-sufficient statistic, so runs there are simulated on levels; generic
-objectives are simulated bit by bit, with the mutation operator's flip
-masks.
+sufficient statistic, so runs there are simulated on levels; linear
+functions are simulated bit by bit, with the mutation operator's flips.
 
 - RLS and the (1+1) EA on levels use a jump-chain sampler: from the exact
   oracle's table of accepted moves, it draws how long the run stays on a
   level and where it moves next, so a run costs O(level changes) rather
-  than O(evaluations).  On bits they loop over evaluations.
+  than O(evaluations).  On bits they loop over offspring, and evaluate
+  only those that can be accepted: the others are provably worse than the
+  parent, from the weights of the bits they flip.
 - Population EAs share one generation loop over a representation of the
   population.  On levels a population is a histogram of counts per
   level, since its individuals are exchangeable: a generation costs
@@ -188,6 +189,11 @@ def _run_single_level(
     return RunTrace(evals, history, hit, hit is None, trans)
 
 
+def _skip_floor(weights: np.ndarray) -> float:
+    """-slack: the bit loop skips an offspring that scores below it."""
+    return -8 * weights.size * 2.0**-53 * float(np.abs(weights).sum())
+
+
 def _run_single_bits(
     rep: _Bits,
     budget: Budget,
@@ -195,35 +201,60 @@ def _run_single_bits(
     start_zeros: int | None,
     target: float,
 ) -> RunTrace:
-    max_evals = budget.max_evaluations
+    """Bit loop over the flip positions of ``_BATCH`` offspring at a time.
+
+    The parent's fitness is always the best so far, so an offspring
+    strictly worse than the parent changes nothing but the evaluation
+    count.  The loop keeps each bit's gain w_i (1 - 2 x_i), the change in
+    fitness from flipping it, and scores an offspring by summing the gains
+    of its flips.  It skips an offspring that scores below -slack, with
+    slack = 8 n u sum|w| (u = 2^-53, the unit roundoff).  A floating-point
+    sum of at most n terms, added in any order, is within gamma_n = n u /
+    (1 - n u) times the sum of their magnitudes of the exact sum.  So the
+    ``np.dot`` fitnesses of parent and offspring and the score are each
+    within gamma_n sum|w| of their exact values, three errors that
+    together stay below the slack: a skipped offspring is strictly worse
+    under ``np.dot`` too.  Every other offspring is evaluated exactly, by
+    the function's ``fn``, so every recorded fitness and every acceptance
+    is what evaluating all offspring would give."""
+    n, max_evals = rep.n, budget.max_evaluations
     pop, fit = rep.init(rng, 1, start_zeros)
     x, fx = pop[0], float(fit[0])
     evals = 1
-    best = fx
-    history = [(1, best)]
-    hit = 1 if best >= target else None
+    history = [(1, fx)]
+    hit = 1 if fx >= target else None
+    gain = np.where(x == 1, -rep.weights, rep.weights).tolist()
+    floor = _skip_floor(rep.weights)
 
     while hit is None and evals < max_evals:
-        masks = rep.mutation.masks(rng, _BATCH)
-        flips = masks.any(axis=1).tolist()
-        for i in range(_BATCH):
-            if evals >= max_evals:
-                break
-            evals += 1
-            if not flips[i]:
-                continue  # an offspring that flips no bit is a copy of x, fitness fx
-            y = x ^ masks[i]
-            fy = float(rep.fn(y))
-            if fy > best:
-                best = fy
-                history.append((evals, fy))
-            if fy >= fx:
-                x, fx = y, fy
-            if fy >= target:
-                hit = evals
-                break
-        if hit is not None:
-            break
+        batch = min(_BATCH, max_evals - evals)  # offspring within the budget
+        rows, bits = np.divmod(rep.mutation.flips(rng, _BATCH), n)
+        rows, bits = rows.tolist(), bits.tolist()
+        # Offspring that flip no bit are copies of x and have no rows.
+        rows.append(_BATCH)  # a sentinel past the last offspring
+        j = 0
+        while rows[j] < batch:
+            i, e = rows[j], j + 1
+            score = gain[bits[j]]
+            while rows[e] == i:
+                score += gain[bits[e]]
+                e += 1
+            if score >= floor:
+                flipped = bits[j:e]
+                y = x.copy()
+                y[flipped] ^= 1
+                fy = rep.fn(y)
+                if fy >= fx:
+                    if fy > fx:
+                        history.append((evals + i + 1, fy))
+                    x, fx = y, fy
+                    if fy >= target:
+                        hit = evals + i + 1
+                        break
+                    for b in flipped:
+                        gain[b] = -gain[b]
+            j = e
+        evals = hit or evals + batch
 
     return RunTrace(evals, history, hit, hit is None)
 
@@ -406,6 +437,12 @@ class _Levels:
             if count >= left:
                 break
             left -= count
+        if end - start == 1:
+            # A class of one level is cut without a draw, and its count
+            # can go to any cohort, since its order changes nothing.
+            kept = [{pos: c for pos, c in cohort.items() if pos < start} for cohort in cohorts]
+            kept[0][start] = left
+            return kept
         kept = []
         for cohort in cohorts:
             row = {pos: c for pos, c in cohort.items() if pos < start}
@@ -434,10 +471,11 @@ class _Levels:
             weights = [count / self.mu for _, count in occupied]
             draws = rng.multinomial(self.lam, weights).tolist()
         off: dict[int, int] = {}
+        rows = self.rows
         for (pos, _), count in zip(occupied, draws):
             if not count:
                 continue
-            dests, probs = self._row(pos)
+            dests, probs = rows.get(pos) or self._row(pos)
             for dest, k in zip(dests, rng.multinomial(count, probs).tolist()):
                 if k:
                     off[dest] = off.get(dest, 0) + k
@@ -482,7 +520,7 @@ class _Bits:
     start point with ``init`` and its flips with ``mutation``."""
 
     def __init__(self, f: FitnessFunction, cfg: AlgorithmConfig):
-        self.n, self.fn, self.mutation = f.n, f.fn, cfg.mutation
+        self.n, self.fn, self.weights, self.mutation = f.n, f.fn, f.weights, cfg.mutation
         self.mu, self.lam = cfg.mu, cfg.lam
         self.uniform = cfg.tie_break is TieBreak.UNIFORM_RANDOM
 

@@ -490,8 +490,8 @@ def _eval_mucommalambda_runtime(ctx, params):
 
 def _eval_linear_runtime_upper(ctx, params):
     fn = ctx.experiment.function
-    if isinstance(fn, FitnessFunction) and fn.name == "linear":
-        w = fn.fn.w
+    if isinstance(fn, FitnessFunction):
+        w = fn.weights
         w_max, w_min = float(w.max()), float(w.min())
     else:
         w_max = _mk(ctx, params, "w_max", float, 1.0)

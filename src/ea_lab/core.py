@@ -1,8 +1,8 @@
 """Search-space primitives: seeded randomness, the mutation operators,
 binomial flip-count formulas and the unitation test-function composer.
 A mutation operator's ``kernel_row`` feeds the exact level chain and the
-level samplers; its ``masks`` are the flips of bit runs, whose search
-points are uint8 0/1 rows.
+level samplers; its ``flips`` (and their dense image, ``masks``) are the
+flips of bit runs, whose search points are uint8 0/1 rows.
 
 Unitation functions are described by an ordered list of blocks (linear,
 gap, plateau) scanned from the all-zeros bitstring towards the all-ones
@@ -175,8 +175,19 @@ class RngStream:
 # Mutation
 
 
+class _DenseMasks:
+    """Flip masks as the dense image of an operator's ``flips``."""
+
+    def masks(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` flip masks, a ``(count, n)`` uint8 array of 0/1 rows
+        that holds a 1 at each of ``flips(rng, count)``."""
+        masks = np.zeros(count * self.n, dtype=np.uint8)
+        masks[self.flips(rng, count)] = 1
+        return masks.reshape(count, self.n)
+
+
 @dataclass(frozen=True)
-class MutationParams:
+class MutationParams(_DenseMasks):
     """Standard bit mutation: each bit flips with probability ``chi / n``."""
 
     n: int
@@ -213,13 +224,30 @@ class MutationParams:
             raise DomainError("zeros-count out of range")
         return _kernel_rows(self.n, self.chi).row(z)
 
-    def masks(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` flip masks, a ``(count, n)`` uint8 array of 0/1 rows."""
-        return (rng.random((count, self.n)) < self.rate).view(np.uint8)
+    def flips(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The flat positions ``row * n + bit`` of the bits flipped in
+        ``count`` offspring, ascending.  Each of the ``count * n`` bits
+        flips with probability ``rate``, so the gaps between successive
+        flips are Geometric(rate), drawn by inversion: about one uniform
+        per flip rather than one per bit."""
+        total = count * self.n
+        log_keep = math.log1p(-self.rate)
+        mean = count * self.chi
+        # Enough gaps, most often, to pass the last bit in one draw.
+        size = int(mean + 4 * math.sqrt(mean)) + 4
+        last, chunks = -1, []
+        while last < total:
+            # floor(log(U) / log(1 - rate)) bits stay before the next flip,
+            # U in (0, 1]; gaps past the end are clipped to keep the sums finite.
+            gaps = np.minimum(np.log1p(-rng.random(size)) / log_keep, total)
+            chunks.append(last + np.cumsum(gaps.astype(np.int64) + 1))
+            last = int(chunks[-1][-1])
+        flat = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        return flat[: np.searchsorted(flat, total)]
 
 
 @dataclass(frozen=True)
-class OneBitFlip:
+class OneBitFlip(_DenseMasks):
     """The mutation of RLS: flip one bit, chosen uniformly at random."""
 
     n: int
@@ -238,11 +266,9 @@ class OneBitFlip:
             lo, probs = 0, probs[1:]
         return lo, probs[:-1] if z == n else probs
 
-    def masks(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` flip masks, each row one-hot at a uniform position."""
-        masks = np.zeros((count, self.n), dtype=np.uint8)
-        masks[np.arange(count), rng.integers(0, self.n, count)] = 1
-        return masks
+    def flips(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """As :meth:`MutationParams.flips`: one uniform bit per offspring."""
+        return np.arange(count) * self.n + rng.integers(0, self.n, count)
 
 
 Mutation = MutationParams | OneBitFlip
@@ -594,41 +620,35 @@ def plateau_function(n: int, m: int, k: int) -> UnitationSpec:
 
 
 # ---------------------------------------------------------------------------
-# Generic objectives
+# Linear objectives
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitnessFunction:
-    """A pseudo-Boolean objective given as a callable, for non-unitation
-    functions such as weighted linear functions."""
+    """A linear pseudo-Boolean objective, ``fn(x) = np.dot(weights, x)``,
+    made by :func:`linear_function`: the objective of the bit samplers.
+    Instances compare by identity."""
 
-    n: int
-    fn: Callable[[np.ndarray], float] = field(repr=False)
-    optimum_value: float
-    name: str = "custom"
+    weights: np.ndarray = field(repr=False)
 
+    @property
+    def n(self) -> int:
+        return self.weights.size
 
-class _LinearEval:
-    # Top-level callable so linear objectives stay picklable for worker pools.
-    def __init__(self, w: np.ndarray):
-        self.w = w
+    @functools.cached_property
+    def optimum_value(self) -> float:
+        # The value the runs compute at all-ones; w.sum() can differ from
+        # it by an ulp, and then no run would ever reach it.
+        return self.fn(np.ones(self.n, dtype=np.uint8))
 
-    def __call__(self, bits: np.ndarray) -> float:
-        return float(np.dot(self.w, bits))
+    def fn(self, bits: np.ndarray) -> float:
+        return float(np.dot(self.weights, bits))
 
 
 def linear_function(weights: Sequence[float]) -> FitnessFunction:
-    """Linear pseudo-Boolean function with positive weights."""
+    """Linear pseudo-Boolean function with positive, finite weights."""
     w = np.array(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0 or np.any(w <= 0):
-        raise SpecError("weights must be a non-empty positive vector")
+    if w.ndim != 1 or w.size == 0 or not np.all((w > 0) & (w < np.inf)):
+        raise SpecError("weights must be a non-empty vector of positive finite numbers")
     w.setflags(write=False)
-    fn = _LinearEval(w)
-    # The optimum is the value the runs compute at all-ones; w.sum() can
-    # differ from it by an ulp, and then no run would ever reach it.
-    return FitnessFunction(
-        n=int(w.size),
-        fn=fn,
-        optimum_value=fn(np.ones(w.size, dtype=np.uint8)),
-        name="linear",
-    )
+    return FitnessFunction(w)

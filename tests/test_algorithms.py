@@ -19,6 +19,7 @@ from ea_lab.algorithms import (
     _LevelPop,
     _levels,
     _merged,
+    _skip_floor,
     comma_selection_order,
     one_plus_one_config,
     rls_config,
@@ -177,6 +178,41 @@ def test_linear_optimum_is_reached_from_all_ones():
         f, one_plus_one_config(100), Budget(10), _rng(0), start_zeros=0
     )
     assert trace.hit_time == 1
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_skipped_offspring_are_strictly_worse(data):
+    n = data.draw(st.integers(1, 64))
+    pool = data.draw(st.lists(st.floats(1, 10), min_size=1, max_size=3))
+    w = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    f = linear_function(w)
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    gain = np.where(x == 1, -w, w).tolist()
+    # Any flip set, and one that trades 0-bits for 1-bits of equal weight:
+    # its exact gain is 0, so rounding alone decides whether it is accepted.
+    ones = {}
+    for j in np.flatnonzero(x).tolist():
+        ones.setdefault(gain[j], []).append(j)
+    traded = []
+    for i in data.draw(st.permutations(np.flatnonzero(x == 0).tolist())):
+        if ones.get(-gain[i]) and data.draw(st.booleans()):
+            traded += [i, ones[-gain[i]].pop()]
+    for flipped in (data.draw(st.sets(st.integers(0, n - 1), min_size=1)), traded):
+        flipped = sorted(flipped)
+        y = x.copy()
+        y[flipped] ^= 1
+        # The bit loop's score: the gains of the flips summed in ascending order.
+        if flipped and f.fn(y) >= f.fn(x):
+            assert sum(gain[b] for b in flipped) >= _skip_floor(w)
+
+
+def test_linear_optimum_is_reached_with_real_weights():
+    rng = random.Random(9)
+    f = linear_function([rng.uniform(1, 10) for _ in range(100)])
+    for seed in range(5):
+        trace = run_algorithm(f, one_plus_one_config(100), Budget(10**6), _rng(1, seed))
+        assert trace.hit_time is not None and trace.best_fitness == f.optimum_value
 
 
 def test_mutation_size_mismatch_rejected():
@@ -340,7 +376,7 @@ def test_stuck_rls_is_censored_at_the_budget():
                          ids=["rls", "one-plus-one"])
 @pytest.mark.parametrize("max_evals", [300, 257], ids=["mid-batch", "batch-end"])
 def test_censored_bit_path_stops_at_the_budget(make_config, max_evals):
-    # The bit path draws its masks 256 at a time: after the initial
+    # The bit path draws its flips 256 offspring at a time: after the initial
     # evaluation, a budget of 300 runs out inside the second batch and a
     # budget of 257 at the end of the first.  The target lies above the
     # optimum, so every run is censored.
@@ -427,6 +463,27 @@ def test_level_sampler_cdf_within_dkw_band(spec, kind, mutation, zeros, budget, 
     # Dvoretzky-Kiefer-Wolfowitz: sup |F_N - F| <= eps with prob. >= 1 - alpha.
     eps = math.sqrt(math.log(2 / alpha) / (2 * runs))
     assert np.abs(summary.curve_p - exact).max() <= eps
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [one_plus_one_config(20), one_plus_one_config(20, 2.5), rls_config(20)],
+    ids=["one-plus-one", "one-plus-one-chi-2.5", "rls"],
+)
+def test_bit_sampler_cdf_within_dkw_band(cfg):
+    """The bit path on OneMax as a linear function, against the exact
+    level chain of OneMax, at every 40th order statistic of the hit times."""
+    n, runs, alpha = 20, 4_000, 1e-3
+    f = linear_function([1.0] * n)
+    hits = np.sort([run_algorithm(f, cfg, Budget(10**6), _rng(41, i)).hit_time
+                    for i in range(runs)])
+    chain = build_level_chain(onemax(n), cfg.kind.value, cfg.mutation)
+    ts = np.unique(hits[:: runs // 100])
+    # T <= t evaluations means the optimum within t - 1 generations.
+    exact = [exact_success_probability(chain, binomial_start(n), int(t) - 1) for t in ts]
+    empirical = np.searchsorted(hits, ts, side="right") / runs
+    eps = math.sqrt(math.log(2 / alpha) / (2 * runs))
+    assert np.abs(empirical - exact).max() <= eps
 
 
 # ---------------------------------------------------------------------------

@@ -702,7 +702,10 @@ def test_integral_float_bound_parameter_is_an_integer(tmp_path):
 # change a single draw.  The three population level hashes were re-recorded
 # when the level populations became histograms, which changes every draw;
 # the distribution tests in test_algorithms.py check those against the
-# per-offspring sampler.
+# per-offspring sampler.  The three standard-bit-mutation bit hashes were
+# re-recorded when flips became geometric gaps instead of one uniform per
+# bit; test_core.py checks the flip distribution, and test_algorithms.py
+# the bit path's runtime distribution against the exact chain.
 _W = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
 _PLUS = {"kind": "MuPlusLambdaEA", "mu": 3, "lambda": 6}
 _PLUS_UNIFORM = dict(_PLUS, tie_break="UniformRandom")
@@ -722,11 +725,11 @@ _PLATEAU_FN = {"family": "plateau", "n": 20, "m": 4, "k": 12}
         (_ONEMAX, _COMMA, None,
          "1a360c7f1df79fa29dc466b609ecfb283ceed2f72ada368a344a77b80460f647"),
         (_LINEAR, {"kind": "OnePlusOneEA"}, None,
-         "5d3e156e9bb2ce8b91f761ba238ca4f8298123d1c2e6f8b02702c5abe1dd1463"),
+         "1f78ea475b08066a90057052c4c6b55a59b1d44d27362c969422f982b2aeb683"),
         (_LINEAR, _PLUS_UNIFORM, None,
-         "301ee30a2d30f84deca9c34c7b41acfef5bb914890d034234f69c4f419d5b051"),
+         "b02374d2fd01c3b359830084a7142961dda3208ecc7162628b62558d4f7a2b27"),
         (_LINEAR, _COMMA, 5,
-         "908fece9a9a7c776c578e773feb847d250454821297511b8972b18d5f6c33840"),
+         "5303bcf2c7d15035e2d40f09e3548fbdc113916b52d5d9a4ed0f1659d17f7b22"),
         (_PLATEAU_FN, {"kind": "RLS"}, None,
          "818201740ab8ff6d0245500794e09a28459aa4f08b95500c8f142b91f19308dc"),
         (_ONEMAX, {"kind": "OnePlusOneEA", "chi": 2.5}, 7,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import gammaln
 
 from ea_lab.core import (
@@ -141,10 +142,57 @@ def test_operator_masks():
     assert masks.dtype == np.uint8 and masks.shape == (count, n)
     assert np.all(masks.sum(axis=1) == 1)
     assert np.all(masks.sum(axis=0) > 0)  # every position gets picked
-    for chi in (0.5, 1.0, 2.5):
-        masks = MutationParams(n, chi).masks(RngStream(4).generator(), count)
-        twin = RngStream(4).generator().random((count, n)) < chi / n
-        assert masks.dtype == np.uint8 and np.array_equal(masks, twin)
+
+
+def _chi_square_pvalue(observed, expected):
+    """Goodness of fit, with the cells expected below 5 pooled into the
+    last cell expected at least 5 before them."""
+    observed, expected = list(observed), list(expected)
+    while expected[-1] < 5:
+        tail_observed, tail_expected = observed.pop(), expected.pop()
+        observed[-1] += tail_observed
+        expected[-1] += tail_expected
+    return stats.chisquare(observed, expected).pvalue
+
+
+def _flip_counts_independent(a, b):
+    """p-value of a chi-square test that the flip counts ``a`` and ``b``,
+    as 0, 1 or more, are independent."""
+    table = np.zeros((3, 3))
+    np.add.at(table, (np.minimum(a, 2), np.minimum(b, 2)), 1)
+    return stats.chi2_contingency(table).pvalue
+
+
+@pytest.mark.parametrize("chi", [0.5, 1.0, 2.5])
+def test_standard_bit_mutation_flips(chi):
+    n, count, calls = 13, 5, 4_000
+    op = MutationParams(n, chi)
+    flips = op.flips(RngStream(4).generator(), count)
+    assert np.all(np.diff(flips) > 0) and np.all((0 <= flips) & (flips < count * n))
+    masks = op.masks(RngStream(4).generator(), count)
+    dense = np.zeros(count * n, dtype=np.uint8)
+    dense[flips] = 1
+    assert masks.dtype == np.uint8 and np.array_equal(masks, dense.reshape(count, n))
+
+    rng = RngStream(5).generator()
+    batches = np.array([op.masks(rng, count) for _ in range(calls)])  # calls x count x n
+    rows = batches.reshape(-1, n)
+    # Each row flips Bin(n, chi / n) bits ...
+    pmf = flip_count_pmf_table(n, chi / n)
+    observed = np.bincount(rows.sum(axis=1, dtype=np.int64), minlength=n + 1)
+    assert _chi_square_pvalue(observed, pmf * len(rows)) > 1e-4
+    # ... and each position flips Bin(rows, chi / n) times, independently.
+    mean, var = len(rows) * chi / n, len(rows) * chi / n * (1 - chi / n)
+    z2 = ((rows.sum(axis=0) - mean) ** 2 / var).sum()
+    assert stats.chi2.sf(z2, n) > 1e-4
+    # Flips are independent across the row boundary and the call boundary:
+    # neighbouring bits (the last of a row, the first of the next), and the
+    # flip counts of neighbouring rows in a call and across calls.
+    bits = stats.chi2_contingency(np.histogram2d(rows[:-1, -1], rows[1:, 0], bins=2)[0])
+    assert bits.pvalue > 1e-4
+    counts = batches.sum(axis=2, dtype=np.int64)
+    assert _flip_counts_independent(counts[:, 0], counts[:, 1]) > 1e-4
+    assert _flip_counts_independent(counts[:-1, -1], counts[1:, 0]) > 1e-4
 
 
 def test_one_bit_flip_domain():
@@ -301,3 +349,7 @@ def test_linear_function_rejects_bad_weights():
         linear_function([1.0, -2.0])
     with pytest.raises(SpecError):
         linear_function([])
+    # The bit loop's skip rule bounds rounding by the sum of the weights.
+    for weight in (math.nan, math.inf):
+        with pytest.raises(SpecError):
+            linear_function([1.0, weight])
