@@ -551,8 +551,9 @@ class _Bits:
         return pop[0][keep], pop[1][keep]
 
     def breed(self, parents, rng):
-        chosen = parents[0][rng.integers(0, self.mu, size=self.lam)]
-        return self._evaluated(chosen ^ self.mutation.masks(rng, self.lam))
+        chosen = parents[0][rng.integers(0, self.mu, size=self.lam)]  # a copy
+        chosen.reshape(-1)[self.mutation.flips(rng, self.lam)] ^= 1
+        return self._evaluated(chosen)
 
     def survivors(self, off, pop, rng):
         combined = np.concatenate([off[0], pop[0]])  # offspring first on ties

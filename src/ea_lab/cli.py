@@ -54,12 +54,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND_FAILURE = 2
 
-# The oracle's chain is banded, O(n w) for kernel rows of w entries, and a
-# plateau of c levels solves in O(c w^2), up to c = n on needle.  Above this
-# n it runs only when the configuration asks for it; a chain estimated above
-# oracle.CHAIN_BYTES is refused at any n.
-_ORACLE_AUTO_LIMIT = 512
-
 
 class ConfigError(ValueError):
     """The configuration file is malformed or inconsistent."""
@@ -676,7 +670,8 @@ def _run_point(cfg: dict, exp: empirics.Experiment, workers: int):
     batch, the comparison rows and the point's JSON record."""
     ctx = BoundContext(cfg["function"], exp)
     reports = evaluate_bounds(ctx, cfg.get("bounds", []))
-    want_oracle = ctx.has_chain and cfg.get("oracle", ctx.n <= _ORACLE_AUTO_LIMIT)
+    want_oracle = ctx.has_chain and cfg.get("oracle", oracle.chain_cost(
+        exp.function, exp.algorithm.mutation).work <= oracle.DEFAULT_WORK)
     oracle_info = compute_oracle(ctx) if want_oracle else None
     oracle_value = oracle_info["expected_evaluations"] if oracle_info else None
     batch = empirics.run_batch(exp, workers=workers)

@@ -1,8 +1,8 @@
 """Search-space primitives: seeded randomness, the mutation operators,
 binomial flip-count formulas and the unitation test-function composer.
 A mutation operator's ``kernel_row`` feeds the exact level chain and the
-level samplers; its ``flips`` (and their dense image, ``masks``) are the
-flips of bit runs, whose search points are uint8 0/1 rows.
+level samplers; its ``flips`` are the flips of bit runs, whose search
+points are uint8 0/1 rows.
 
 Unitation functions are described by an ordered list of blocks (linear,
 gap, plateau) scanned from the all-zeros bitstring towards the all-ones
@@ -175,19 +175,8 @@ class RngStream:
 # Mutation
 
 
-class _DenseMasks:
-    """Flip masks as the dense image of an operator's ``flips``."""
-
-    def masks(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` flip masks, a ``(count, n)`` uint8 array of 0/1 rows
-        that holds a 1 at each of ``flips(rng, count)``."""
-        masks = np.zeros(count * self.n, dtype=np.uint8)
-        masks[self.flips(rng, count)] = 1
-        return masks.reshape(count, self.n)
-
-
 @dataclass(frozen=True)
-class MutationParams(_DenseMasks):
+class MutationParams:
     """Standard bit mutation: each bit flips with probability ``chi / n``."""
 
     n: int
@@ -247,7 +236,7 @@ class MutationParams(_DenseMasks):
 
 
 @dataclass(frozen=True)
-class OneBitFlip(_DenseMasks):
+class OneBitFlip:
     """The mutation of RLS: flip one bit, chosen uniformly at random."""
 
     n: int

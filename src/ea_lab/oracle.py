@@ -18,9 +18,9 @@ mutation at chi = 1, two for RLS).
 
 Selection is elitist, so the chain never moves to a level of lower
 fitness and the hitting-time system is block-triangular in fitness
-order.  It is solved one fitness class at a time, best class first: a
-class of one level costs one division by its s (accurate even where the
-self-loop rounds to 1), and a plateau class one state-reduction pass.
+order.  It is solved one fitness class at a time, best class first: one
+division by s for a class of one level (accurate even where the self-loop
+rounds to 1), and one state-reduction pass over its band for a plateau.
 """
 
 from __future__ import annotations
@@ -36,14 +36,18 @@ from .core import (
     DomainError, Mutation, MutationParams, OneBitFlip, UnitationSpec, flip_count_pmf_table
 )
 
-# The bytes an exact chain may take.  Its rows are estimated at
+# An exact chain's cost, estimated before it is built.  Its rows take
 # _ENTRY_BYTES per kernel-row entry plus _LEVEL_BYTES per level, 15 kB a
-# level for standard bit mutation at chi = 1 (OneMax uses about 10 kB),
-# and the plateau solve of its largest fitness class c at _BLOCK_BYTES c^2,
-# one float block.  That puts needle(4096) at 0.2 GB and OneMax at
-# n = 50,000 at 0.76 GB.
-CHAIN_BYTES = 800_000_000
-_ENTRY_BYTES, _LEVEL_BYTES, _BLOCK_BYTES = 40, 1000, 8
+# level for standard bit mutation at chi = 1, and the plateau solve of its
+# largest fitness class c a band of 8 c (2w + 1) bytes: 0.085 GB for
+# needle(4096), 0.76 GB for OneMax(50,000).  Work is counted in flops of
+# the plateau solve, c w^2 for c levels whose moves span w places, 1.2 ns
+# each on a 2-CPU Xeon VM; by measured time a row entry costs 80, a level
+# 10^4 and a plateau level 2 10^4 more.  The oracle runs by default up to
+# the work of needle(512) at chi = 255 (0.2 s), the most of any n <= 512.
+CHAIN_BYTES, DEFAULT_WORK = 800_000_000, 1.71e8
+_ENTRY_BYTES, _LEVEL_BYTES = 40, 1000
+_ENTRY_WORK, _LEVEL_WORK, _PLATEAU_LEVEL_WORK = 80, 10_000, 20_000
 
 
 class Moves(NamedTuple):
@@ -138,25 +142,33 @@ class LevelChain:
 
 
 _DEFAULT_MUTATION = {"RLS": OneBitFlip, "OnePlusOneEA": MutationParams}
+ChainCost = NamedTuple("ChainCost", [("nbytes", float), ("work", float)])
 
 
-def _chain_bytes(spec: UnitationSpec, mutation: Mutation) -> float:
-    """The estimated bytes of the chain of ``spec`` under ``mutation``."""
+@functools.lru_cache(maxsize=8)
+def chain_cost(spec: UnitationSpec, mutation: Mutation) -> ChainCost:
+    """The estimated bytes and work of the chain of ``spec`` under ``mutation``,
+    cached so that a point's default oracle and its build share one estimate."""
     n, width = spec.n, 2
     if isinstance(mutation, MutationParams):
         # A row convolves the flip counts of the zero-bits and of the
         # one-bits, each range at most that of all n bits.
         width = min(2 * np.count_nonzero(flip_count_pmf_table(n, mutation.rate)), n + 1)
-    largest_class = np.unique(spec.value_table, return_counts=True)[1].max()
-    return ((n + 1) * (_LEVEL_BYTES + _ENTRY_BYTES * width)
-            + _BLOCK_BYTES * float(largest_class) ** 2)
+    # Only the classes below the optimum are solved; a move spans less than a row.
+    values = spec.value_table
+    sizes = np.unique(values[values < values.max()], return_counts=True)[1].astype(float)
+    spans = np.minimum(sizes - 1, width - 1)
+    band = float((sizes * (2 * spans + 1)).max(initial=0))
+    plateaus = float(sizes @ (spans**2 + _PLATEAU_LEVEL_WORK * (sizes > 1)))
+    return ChainCost((n + 1) * (_LEVEL_BYTES + _ENTRY_BYTES * width) + 8 * band,
+                     (n + 1) * (_LEVEL_WORK + _ENTRY_WORK * width) + plateaus)
 
 
 def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None = None) -> LevelChain:
     """Exact level chain for RLS or the (1+1) EA on ``spec`` under
     ``mutation``, by default the kind's operator at chi = 1: every level
-    of its :class:`MoveTable`.  A chain estimated above ``CHAIN_BYTES`` is
-    refused before anything is allocated.
+    of its :class:`MoveTable`.  A chain whose :func:`chain_cost` exceeds
+    ``CHAIN_BYTES`` in bytes is refused before anything is allocated.
     """
     n = spec.n
     if kind not in _DEFAULT_MUTATION:
@@ -167,7 +179,7 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None 
         raise DomainError("RLS, and only RLS, mutates by OneBitFlip")
     if mutation.n != n:
         raise DomainError("mutation parameters sized for a different n")
-    size = _chain_bytes(spec, mutation)
+    size = chain_cost(spec, mutation).nbytes
     if size > CHAIN_BYTES:
         raise DomainError(f"the exact level chain at n = {n} needs about {size / 1e9:.3g} GB; "
                           f"it is built up to {CHAIN_BYTES / 1e9:.3g} GB only")
@@ -237,19 +249,22 @@ def _solve_plateau(chain: LevelChain, idx: np.ndarray, t: np.ndarray) -> None:
     The last level goes first: divided by its leave mass, a sum that never
     subtracts, its moves, exit mass and right-hand side pass to the levels
     that move into it.  In-class moves stay within w places in class
-    order, and so does the fill: O(c w^2)."""
+    order, and so does the fill: O(c w^2) time and O(c w) memory."""
     c = idx.size
     at = np.full(chain.n + 1, -1)
     at[idx] = np.arange(c)
-    block, rhs, exits, w = np.zeros((c, c)), np.ones(c), np.zeros(c), 1
-    for i, z in enumerate(idx.tolist()):
-        m = chain.moves[z]
-        into = at[m.dests]
-        inside, out = into >= 0, into < 0
-        block[i, into[inside]] = m.probs[inside]
+    level_moves = [chain.moves[z] for z in idx.tolist()]
+    places = [at[m.dests] for m in level_moves]  # -1 outside the class
+    w = max(1, *(int(np.abs(p[p >= 0] - i).max(initial=0)) for i, p in enumerate(places)))
+    # Only the band |i - j| <= w is stored, the entries the pass touches:
+    # row i starts 2w floats after row i - 1, so it owns 2w + 1 slots.
+    band, rhs, exits = np.zeros(c * (2 * w + 1) + 2 * w), np.ones(c), np.zeros(c)
+    block = np.lib.stride_tricks.as_strided(band[w:], (c, c), (16 * w, 8))
+    for i, (m, p) in enumerate(zip(level_moves, places)):
+        inside, out = p >= 0, p < 0
+        block[i, p[inside]] = m.probs[inside]
         exits[i] = m.probs[out].sum()
         rhs[i] += m.probs[out] @ t[m.dests[out]]
-        w = max(w, int(np.abs(into[inside] - i).max(initial=0)))
     with np.errstate(over="ignore"):  # a time beyond float range is inf
         for k in range(c - 1, -1, -1):
             lo = max(k - w, 0)

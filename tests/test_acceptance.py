@@ -127,7 +127,7 @@ def test_criterion_03_fitness_level_sandwich():
 
 def test_criterion_04_mutation_flip_distribution():
     """10^6 standard bit mutations at n=100, chi=1, drawn as the flip
-    masks the samplers use, 10^4 per call: at least 0.366 of them flip
+    positions the samplers use, 10^4 per call: at least 0.366 of them flip
     exactly one bit, the no-flip fraction is within 0.01 of 1/e, and a
     chi-squared test against the binomial pmf passes at the 0.001
     level."""
@@ -136,7 +136,7 @@ def test_criterion_04_mutation_flip_distribution():
     p = MutationParams(n=n, chi=1.0)
     counts = np.zeros(n + 1, dtype=np.int64)
     for _ in range(samples // batch):
-        flips = p.masks(rng, batch).sum(axis=1, dtype=np.int64)
+        flips = np.bincount(p.flips(rng, batch) // n, minlength=batch)
         counts += np.bincount(flips, minlength=n + 1)
 
     p1 = counts[1] / samples

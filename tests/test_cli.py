@@ -223,12 +223,27 @@ def test_oversized_chain_is_a_clean_error(tmp_path, capsys, command, overrides):
 
 
 def test_chain_size_limit_admits_the_automatic_oracle():
-    # The widest chain at the automatic limit: one plateau class of n
-    # levels, and kernel rows as wide as the space.
-    n = cli._ORACLE_AUTO_LIMIT
-    assert oracle._chain_bytes(needle(n), MutationParams(n, n / 2 - 1)) <= oracle.CHAIN_BYTES
-    assert oracle._chain_bytes(onemax(_OVERSIZED_N), MutationParams(_OVERSIZED_N)) > (
+    # The costliest chain of n <= 512: one plateau class of n levels, and
+    # kernel rows as wide as the space.  The default oracle computes it.
+    n = 512
+    cost = oracle.chain_cost(needle(n), MutationParams(n, n / 2 - 1))
+    assert cost.work <= oracle.DEFAULT_WORK and cost.nbytes <= oracle.CHAIN_BYTES
+    assert oracle.chain_cost(onemax(_OVERSIZED_N), MutationParams(_OVERSIZED_N)).nbytes > (
         oracle.CHAIN_BYTES)
+
+
+@pytest.mark.parametrize("family, n, chi, computed", [
+    ("onemax", 2048, 1.0, True),
+    ("needle", 512, 255, True),
+    ("needle", 1024, 511, False),
+])
+def test_default_oracle_follows_the_cost_estimate(tmp_path, family, n, chi, computed):
+    cfg = _write_config(tmp_path, function={"family": family, "n": n}, runs=2, budget=1000,
+                        algorithm={"kind": "OnePlusOneEA", "chi": chi})
+    out = tmp_path / "out"
+    main(["run", "--config", cfg, "--out", str(out), "--threads", "1", "--quiet"])
+    oracle_info = json.loads((out / "summary.json").read_text())["oracle"]
+    assert (oracle_info is not None) == computed
 
 
 # ---------------------------------------------------------------------------

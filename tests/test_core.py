@@ -136,12 +136,11 @@ def test_operator_kernel_rows_equal_reference(n):
                 op.kernel_row(z)
 
 
-def test_operator_masks():
+def test_one_bit_flip_flips():
     n, count = 13, 500
-    masks = OneBitFlip(n).masks(RngStream(3).generator(), count)
-    assert masks.dtype == np.uint8 and masks.shape == (count, n)
-    assert np.all(masks.sum(axis=1) == 1)
-    assert np.all(masks.sum(axis=0) > 0)  # every position gets picked
+    flips = OneBitFlip(n).flips(RngStream(3).generator(), count)
+    assert flips.min() >= 0 and np.all(np.bincount(flips // n, minlength=count) == 1)
+    assert np.all(np.bincount(flips % n, minlength=n) > 0)  # every position gets picked
 
 
 def _chi_square_pvalue(observed, expected):
@@ -169,28 +168,27 @@ def test_standard_bit_mutation_flips(chi):
     op = MutationParams(n, chi)
     flips = op.flips(RngStream(4).generator(), count)
     assert np.all(np.diff(flips) > 0) and np.all((0 <= flips) & (flips < count * n))
-    masks = op.masks(RngStream(4).generator(), count)
-    dense = np.zeros(count * n, dtype=np.uint8)
-    dense[flips] = 1
-    assert masks.dtype == np.uint8 and np.array_equal(masks, dense.reshape(count, n))
 
     rng = RngStream(5).generator()
-    batches = np.array([op.masks(rng, count) for _ in range(calls)])  # calls x count x n
-    rows = batches.reshape(-1, n)
+    batches = [op.flips(rng, count) for _ in range(calls)]
+    counts = np.array([np.bincount(f // n, minlength=count) for f in batches])  # calls x count
+    positions = np.concatenate([f + i * count * n for i, f in enumerate(batches)])
+    rows = np.zeros(calls * count * n, dtype=np.uint8)
+    rows[positions] = 1
+    rows = rows.reshape(-1, n)
     # Each row flips Bin(n, chi / n) bits ...
     pmf = flip_count_pmf_table(n, chi / n)
-    observed = np.bincount(rows.sum(axis=1, dtype=np.int64), minlength=n + 1)
+    observed = np.bincount(counts.reshape(-1), minlength=n + 1)
     assert _chi_square_pvalue(observed, pmf * len(rows)) > 1e-4
     # ... and each position flips Bin(rows, chi / n) times, independently.
     mean, var = len(rows) * chi / n, len(rows) * chi / n * (1 - chi / n)
-    z2 = ((rows.sum(axis=0) - mean) ** 2 / var).sum()
+    z2 = ((np.bincount(positions % n, minlength=n) - mean) ** 2 / var).sum()
     assert stats.chi2.sf(z2, n) > 1e-4
     # Flips are independent across the row boundary and the call boundary:
     # neighbouring bits (the last of a row, the first of the next), and the
     # flip counts of neighbouring rows in a call and across calls.
     bits = stats.chi2_contingency(np.histogram2d(rows[:-1, -1], rows[1:, 0], bins=2)[0])
     assert bits.pvalue > 1e-4
-    counts = batches.sum(axis=2, dtype=np.int64)
     assert _flip_counts_independent(counts[:, 0], counts[:, 1]) > 1e-4
     assert _flip_counts_independent(counts[:-1, -1], counts[1:, 0]) > 1e-4
 

@@ -8,12 +8,14 @@ level-space kernel under test.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
 from ea_lab import oracle
@@ -246,39 +248,68 @@ def _refuse_tables(monkeypatch):
     monkeypatch.setattr(oracle, "move_table", refused)
 
 
-def _assert_refused(monkeypatch, spec, kind):
-    mutation = OneBitFlip(spec.n) if kind == "RLS" else MutationParams(spec.n)
-    size = oracle._chain_bytes(spec, mutation)
+def _assert_refused(monkeypatch, spec, kind, mutation=None):
+    if mutation is None:
+        mutation = OneBitFlip(spec.n) if kind == "RLS" else MutationParams(spec.n)
+    size = oracle.chain_cost(spec, mutation).nbytes
     assert size > CHAIN_BYTES
-
-    def refused(*args):
-        raise AssertionError("a move table was requested")
-
-    monkeypatch.setattr(oracle, "move_table", refused)
+    _refuse_tables(monkeypatch)
     with pytest.raises(DomainError, match=f"the exact level chain at n = {spec.n} needs about "
                                           f"{size / 1e9:.3g} GB"):
-        build_level_chain(spec, kind)
+        build_level_chain(spec, kind, mutation)
 
 
 # The estimate is about 1 kB a level for RLS and 15 kB for standard bit
-# mutation at chi = 1, plus 8 c^2 bytes for the largest fitness class c.
+# mutation at chi = 1, plus 8 c (2w + 1) bytes for the band of the largest
+# fitness class c, whose moves span w places.
 @pytest.mark.parametrize("kind", ["RLS", "OnePlusOneEA"])
 def test_oversized_chain_is_rejected_before_allocating(monkeypatch, kind):
     _assert_refused(monkeypatch, onemax(800_000 if kind == "RLS" else 60_000), kind)
 
 
+def test_wide_plateau_is_rejected_before_allocating(monkeypatch):
+    # Rows as wide as the space, and a band as wide as the class.
+    _assert_refused(monkeypatch, needle(4096), "OnePlusOneEA", MutationParams(4096, 2047))
+
+
 @pytest.mark.parametrize("kind", ["RLS", "OnePlusOneEA"])
-def test_oversized_plateau_is_rejected_before_allocating(monkeypatch, kind):
-    # The rows of needle(10,000) fit: its plateau block is what is refused.
+def test_needle_10000_is_admitted(kind):
+    # Stored as a band, a plateau costs less than the rows around it.
     n = 10_000
-    block = oracle._BLOCK_BYTES * n**2
-    assert oracle._chain_bytes(needle(n), MutationParams(n)) - block <= CHAIN_BYTES
-    _assert_refused(monkeypatch, needle(n), kind)
+    mutation = OneBitFlip(n) if kind == "RLS" else MutationParams(n)
+    assert oracle.chain_cost(needle(n), mutation).nbytes <= CHAIN_BYTES
+
+
+def test_rls_solves_needle_10000():
+    n = 10_000
+    chain = build_level_chain(needle(n), "RLS")
+    times = expected_hitting_times_to(chain, chain.absorbing)
+    assert times[0] == 0 and np.all(times[1:] == np.inf)  # beyond float range
+    # To the optimum or half-way, a birth-death chain: RLS leaves level z
+    # downwards with probability z / n and upwards otherwise.
+    target = chain.absorbing | (np.arange(n + 1) >= n // 2)
+    z = np.arange(1, n // 2)
+    banded = np.zeros((3, z.size))
+    banded[0, 1:], banded[1], banded[2, :-1] = -(n - z[:-1]) / n, 1.0, -z[1:] / n
+    expected = solve_banded((1, 1), banded, np.ones(z.size))
+    times = expected_hitting_times_to(chain, target)
+    assert np.allclose(times[z], expected, rtol=1e-9, atol=0)
+
+
+def test_rls_needle_4096_solve_stores_only_the_band():
+    chain = build_level_chain(needle(4096), "RLS")
+    tracemalloc.start()
+    try:
+        expected_hitting_times_to(chain, chain.absorbing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6  # a dense block of the 4096-level class takes 134 MB
 
 
 def test_chain_byte_budget_admits_a_4096_plateau_and_onemax_at_50000():
     for spec in (needle(4096), onemax(50_000)):
-        assert oracle._chain_bytes(spec, MutationParams(spec.n)) <= CHAIN_BYTES
+        assert oracle.chain_cost(spec, MutationParams(spec.n)).nbytes <= CHAIN_BYTES
 
 
 # ---------------------------------------------------------------------------
