@@ -15,9 +15,9 @@ functions are simulated bit by bit, with the mutation operator's flips.
   parent, from the weights of the bits they flip.
 - Population EAs share one generation loop over a representation of the
   population.  On levels a population is a histogram of counts per
-  level, since its individuals are exchangeable: a generation costs
-  one multinomial per occupied parent level, not O(lambda) draws.  On
-  bits it is a mu x n bit array.
+  level, since its individuals are exchangeable: a generation costs one
+  multinomial over its parents' offspring distribution, not O(lambda)
+  draws.  On bits it is a mu x n bit array.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from .core import (
 from .oracle import move_table
 
 _BATCH = 256
+
+# Offspring distributions that a level population keeps, per distinct
+# parent histogram.  A 600-run (4,32) EA batch on OneMax(100) visits 768.
+_OFFSPRING_ENTRIES = 4096
 
 
 class AlgorithmKind(Enum):
@@ -216,7 +220,9 @@ def _run_single_bits(
     together stay below the slack: a skipped offspring is strictly worse
     under ``np.dot`` too.  Every other offspring is evaluated exactly, by
     the function's ``fn``, so every recorded fitness and every acceptance
-    is what evaluating all offspring would give."""
+    is what evaluating all offspring would give.  It is evaluated in place:
+    its bits are flipped in the parent, and flipped back if it is
+    rejected."""
     n, max_evals = rep.n, budget.max_evaluations
     pop, fit = rep.init(rng, 1, start_zeros)
     x, fx = pop[0], float(fit[0])
@@ -241,13 +247,16 @@ def _run_single_bits(
                 e += 1
             if score >= floor:
                 flipped = bits[j:e]
-                y = x.copy()
-                y[flipped] ^= 1
-                fy = rep.fn(y)
-                if fy >= fx:
+                for b in flipped:
+                    x[b] ^= 1
+                fy = rep.fn(x)
+                if fy < fx:
+                    for b in flipped:
+                        x[b] ^= 1
+                else:
                     if fy > fx:
                         history.append((evals + i + 1, fy))
-                    x, fx = y, fy
+                    fx = fy
                     if fy >= target:
                         hit = evals + i + 1
                         break
@@ -320,12 +329,15 @@ class _Levels:
     The individuals of a batch are exchangeable, so a batch is a
     histogram, here a dict from *rank position* (levels by fitness, best
     first) to count; a *class* is a run of positions of equal fitness.
-    One generation draws the parents' levels as one multinomial over the
-    parent histogram, and each occupied parent level's offspring as one
-    multinomial over its row of the mutation operator's ``kernel_row``, from
-    which the exact oracle's move table is built.  Truncation keeps the best
-    classes; where it cuts a class of several levels, the kept
-    individuals are a multivariate hypergeometric draw.
+    Each offspring mutates a uniformly chosen parent, so given the parent
+    histogram the offspring histogram is Multinomial(lambda, sum of
+    (count / mu) times the parent level's row of the mutation operator's
+    ``kernel_row``), from which the exact oracle's move table is built.  A
+    generation draws it as one multinomial over that distribution, which
+    ``offspring`` keeps per parent histogram, up to ``_OFFSPRING_ENTRIES``
+    of them.  Truncation keeps the best classes; where it cuts a class of
+    several levels, the kept individuals are a multivariate hypergeometric
+    draw.
 
     The (mu+lambda) EA under ``PREFER_OFFSPRING`` ranks tied individuals
     youngest first, so where a class has several levels its population
@@ -353,19 +365,30 @@ class _Levels:
             cfg.kind is AlgorithmKind.MU_PLUS_LAMBDA_EA and not self.uniform and any(self.tied)
         )
         self.start = flip_count_pmf_table(spec.n, 0.5)[self.rank]
-        self.rows: dict[int, tuple[list[int], np.ndarray]] = {}
+        self.offspring = functools.lru_cache(maxsize=_OFFSPRING_ENTRIES)(self._offspring)
 
-    def _row(self, pos: int) -> tuple[list[int], np.ndarray]:
-        """The kernel row of the level at ``pos`` as (destination
-        positions, probabilities), most likely first, so that reading a
-        multinomial draw stops after the few categories that take all
-        the offspring."""
-        entry = self.rows.get(pos)
-        if entry is None:
-            lo, probs = self.mutation.kernel_row(int(self.rank[pos]))
-            order = np.argsort(-probs, kind="stable")
-            entry = self.rows[pos] = (self.position[lo + order].tolist(), probs[order])
-        return entry
+    def _offspring(self, parents: tuple[tuple[int, int], ...]) -> tuple[list[int], np.ndarray]:
+        """The level distribution of one offspring of the sorted parent
+        histogram ``parents``, sum over its levels of (count / mu) times
+        the level's kernel row, as (destination positions, probabilities),
+        most likely first, so that reading a multinomial draw stops after
+        the few categories that take all the offspring.
+
+        The sum spans the parents' row windows only, and levels that no
+        row reaches are left out.  Its terms are added in the order of
+        ``parents``, so an entry is the same in every process.  It is
+        scaled to sum to 1: at large n a row's sum is off by up to about
+        1e-11, and ``rng.multinomial`` refuses probabilities whose sum
+        exceeds 1 + 1e-12."""
+        rows = [(count, *self.mutation.kernel_row(int(self.rank[pos]))) for pos, count in parents]
+        lo = min(row_lo for _, row_lo, _ in rows)
+        probs = np.zeros(max(row_lo + row.size for _, row_lo, row in rows) - lo)
+        for count, row_lo, row in rows:
+            probs[row_lo - lo : row_lo - lo + row.size] += count / self.mu * row
+        probs /= probs.sum()
+        reached = np.flatnonzero(probs)
+        order = reached[np.argsort(-probs[reached], kind="stable")]
+        return self.position[lo + order].tolist(), probs[order]
 
     def level(self, pop: _LevelPop) -> int:
         return int(self.rank[pop.top])
@@ -422,11 +445,24 @@ class _Levels:
         return _LevelPop(self._pin(batch, top) if self.keep_order else [batch], top)
 
     def _truncate(self, cohorts: list[dict], rng: np.random.Generator) -> list[dict]:
-        """The best mu individuals of ``cohorts``.  The class where the cut
-        falls is kept youngest cohort first and, within a cohort, as a
+        """The best mu individuals of ``cohorts``.  Where the cut falls
+        before the first class of several levels, one walk down the levels
+        finds them, and they form one cohort, since the order of
+        single-level classes changes nothing.  Otherwise the class where the
+        cut falls is kept youngest cohort first and, within a cohort, as a
         uniform subset."""
         total = _merged(cohorts)
         ordered = sorted(total)
+        kept, left = {}, self.mu
+        for pos in ordered:
+            if self.tied[pos]:
+                break
+            count = total[pos]
+            if count >= left:
+                kept[pos] = left
+                return [kept]
+            kept[pos] = count
+            left -= count
         left, i = self.mu, 0
         while True:  # find the class [start, end) where the cut falls
             start, end = self.cls_start[ordered[i]], self.cls_end[ordered[i]]
@@ -437,12 +473,6 @@ class _Levels:
             if count >= left:
                 break
             left -= count
-        if end - start == 1:
-            # A class of one level is cut without a draw, and its count
-            # can go to any cohort, since its order changes nothing.
-            kept = [{pos: c for pos, c in cohort.items() if pos < start} for cohort in cohorts]
-            kept[0][start] = left
-            return kept
         kept = []
         for cohort in cohorts:
             row = {pos: c for pos, c in cohort.items() if pos < start}
@@ -464,24 +494,16 @@ class _Levels:
         return _LevelPop(self._truncate(pop.rows, rng), pop.top)
 
     def breed(self, parents, rng):
-        occupied = sorted(_merged(parents.rows).items())
-        if len(occupied) == 1:
-            draws = [self.lam]
-        else:
-            weights = [count / self.mu for _, count in occupied]
-            draws = rng.multinomial(self.lam, weights).tolist()
-        off: dict[int, int] = {}
-        rows = self.rows
-        for (pos, _), count in zip(occupied, draws):
-            if not count:
-                continue
-            dests, probs = rows.get(pos) or self._row(pos)
-            for dest, k in zip(dests, rng.multinomial(count, probs).tolist()):
-                if k:
-                    off[dest] = off.get(dest, 0) + k
-                    count -= k
-                    if not count:
-                        break
+        dests, probs = self.offspring(tuple(sorted(_merged(parents.rows).items())))
+        off, left = {}, self.lam
+        # The memoryview yields Python ints, and the loop stops at the
+        # last occupied category.
+        for dest, count in zip(dests, memoryview(rng.multinomial(left, probs))):
+            if count:
+                off[dest] = count
+                left -= count
+                if not left:
+                    break
         return off
 
     def survivors(self, off, pop, rng):

@@ -9,16 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ea_lab import core
+from ea_lab import algorithms, core
 from ea_lab.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
     Budget,
+    RunTrace,
     TieBreak,
+    _BATCH,
     _first_of,
     _LevelPop,
+    _Levels,
     _levels,
     _merged,
+    _run_population,
     _skip_floor,
     comma_selection_order,
     one_plus_one_config,
@@ -213,6 +217,44 @@ def test_linear_optimum_is_reached_with_real_weights():
     for seed in range(5):
         trace = run_algorithm(f, one_plus_one_config(100), Budget(10**6), _rng(1, seed))
         assert trace.hit_time is not None and trace.best_fitness == f.optimum_value
+
+
+def _reference_bit_run(f, cfg, max_evals, rng):
+    """The (1+1) EA bit loop without skipping or in-place evaluation: each
+    offspring is a copy of the parent with its flips applied, evaluated by
+    ``f.fn``.  It draws what the bit loop draws."""
+    n, target = f.n, f.optimum_value
+    x = rng.integers(0, 2, size=(1, n), dtype=np.uint8)[0]
+    fx = f.fn(x)
+    evals, history, hit = 1, [(1, fx)], 1 if fx >= target else None
+    while hit is None and evals < max_evals:
+        batch = min(_BATCH, max_evals - evals)
+        rows, bits = np.divmod(cfg.mutation.flips(rng, _BATCH), n)
+        for i in range(batch):
+            y = x.copy()
+            y[bits[rows == i]] ^= 1
+            fy = f.fn(y)
+            if fy >= fx:
+                if fy > fx:
+                    history.append((evals + i + 1, fy))
+                x, fx = y, fy
+                if fy >= target:
+                    hit = evals + i + 1
+                    break
+        evals = hit or evals + batch
+    return RunTrace(evals, history, hit, hit is None)
+
+
+@pytest.mark.parametrize("chi", [1.0, 2.5])
+def test_bit_loop_matches_evaluating_every_offspring(chi):
+    # Three real weights, ten bits each: an offspring that trades a 0-bit
+    # for a 1-bit of equal weight has exact gain 0, and rounding in np.dot
+    # rejects some of them, which the bit loop must undo.
+    f = linear_function([0.1] * 10 + [0.3] * 10 + [0.7] * 10)
+    cfg = one_plus_one_config(30, chi)
+    for seed in range(30):
+        trace = run_algorithm(f, cfg, Budget(5000), _rng(37, seed))
+        assert trace == _reference_bit_run(f, cfg, 5000, _rng(37, seed))
 
 
 def test_mutation_size_mismatch_rejected():
@@ -594,6 +636,7 @@ def _reference_population_run(spec, cfg, max_evals, rng, target, start_zeros=Non
 
 _PLUS = (AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 6)
 _COMMA = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 2, 12)
+_COMMA_4_32 = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 4, 32)
 
 
 @pytest.mark.parametrize(
@@ -610,10 +653,17 @@ _COMMA = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 2, 12)
         # most often in the initial population.
         (onemax(12), _PLUS, TieBreak.PREFER_OFFSPRING, 10, 6.0),
         (onemax(12), _COMMA, TieBreak.PREFER_OFFSPRING, None, 7.0),
+        # Several parent levels breed through one offspring distribution.
+        (onemax(30), _COMMA_4_32, TieBreak.PREFER_OFFSPRING, None, None),
+        (plateau_function(12, 4, 3), _COMMA_4_32, TieBreak.PREFER_OFFSPRING, None, None),
+        # Fewer offspring than parents.
+        (onemax(12), (AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 1), TieBreak.PREFER_OFFSPRING,
+         None, None),
     ],
     ids=["plus-prefer-onemax", "plus-uniform-onemax", "comma-onemax",
          "plus-prefer-plateau", "plus-uniform-plateau", "comma-plateau",
-         "plus-prefer-target", "comma-target"],
+         "plus-prefer-target", "comma-target", "comma-4-32-onemax",
+         "comma-4-32-plateau", "plus-3-1-onemax"],
 )
 def test_histogram_sampler_matches_per_offspring_reference(
     spec, algorithm, tie_break, start_zeros, target
@@ -653,6 +703,64 @@ def test_prefer_offspring_keeps_the_youngest_tied_cohorts():
         kept = rep.survivors({at[0]: 1}, pop, _rng(33, seed))
         assert _merged(kept.rows) == {at[0]: 1, at[1]: 2}
         assert kept.rows[0] == {at[0]: 1}  # the new first best individual leads
+
+
+def _comma_levels(n):
+    cfg = AlgorithmConfig(AlgorithmKind.MU_COMMA_LAMBDA_EA, MutationParams(n), mu=4, lam=32)
+    return _Levels(onemax(n), cfg), cfg
+
+
+def test_offspring_distribution_is_the_mean_parent_kernel_row():
+    rep, cfg = _comma_levels(30)
+    parents = tuple(sorted((int(rep.position[z]), c) for z, c in ((9, 2), (4, 1), (13, 1))))
+    dests, probs = rep.offspring(parents)
+    ref = np.zeros(31)
+    for z, c in ((9, 2), (4, 1), (13, 1)):
+        lo, row = cfg.mutation.kernel_row(z)
+        ref[lo : lo + row.size] += c / 4 * row
+    got = np.zeros(31)
+    got[rep.rank[dests]] = probs
+    assert len(set(dests)) == len(dests)
+    assert np.abs(got - ref).max() <= 1e-15
+    assert abs(probs.sum() - 1) <= 1e-15
+    assert np.all(np.diff(probs) <= 0)  # most likely first
+    assert rep.offspring(parents) is rep.offspring(parents)
+
+
+def test_offspring_distribution_spans_only_the_parent_rows():
+    n = 10_000
+    rep, cfg = _comma_levels(n)
+    parents = ((4990, 1), (5000, 2), (9000, 1))
+    dests, probs = rep.offspring(tuple(sorted((int(rep.position[z]), c) for z, c in parents)))
+    windows = set()
+    for z, _ in parents:
+        lo, row = cfg.mutation.kernel_row(z)
+        windows.update(range(lo, lo + row.size))
+    assert set(rep.rank[dests].tolist()) == windows
+    assert len(dests) < n // 10
+    # The rows' own sums are off by up to 7.4e-12 here (9000 zeros).
+    assert abs(probs.sum() - 1) <= 1e-15
+
+
+def test_population_runs_where_kernel_rows_sum_past_one():
+    # kernel_row(9000) of MutationParams(10_000) sums to 1 + 7.4e-12, more
+    # than rng.multinomial allows.
+    _, cfg = _comma_levels(10_000)
+    trace = run_algorithm(onemax(10_000), cfg, Budget(3200), _rng(36), start_zeros=9000)
+    assert trace.evaluations == 3200 and trace.censored
+
+
+def test_offspring_cache_is_bounded_and_changes_no_draw(monkeypatch):
+    rep, cfg = _comma_levels(40)
+    monkeypatch.setattr(algorithms, "_OFFSPRING_ENTRIES", 8)
+    small, _ = _comma_levels(40)
+    target = onemax(40).optimum_value
+    for seed in range(20):
+        traces = [_run_population(r, cfg, Budget(10**6), _rng(35, seed), None, target, None)
+                  for r in (rep, small)]
+        assert traces[0] == traces[1]
+        assert small.offspring.cache_info().currsize <= 8
+    assert small.offspring.cache_info().misses > 8 * small.offspring.cache_info().currsize
 
 
 @pytest.mark.parametrize("h, size", [(1, 7), (3, 10), (5, 32), (40, 53)])
