@@ -284,19 +284,19 @@ def _run_single_bits(
 # strategy, ties broken by the configured rule).
 
 
-def _first_of(h: int, size: int, u: float) -> int:
+def _first_of(h: int, size: int, u: float, log_factorials: list[float]) -> int:
     """The smallest element of a uniform h-subset of 1..size, by inversion
     at the uniform ``u`` of its survival function P(min > t) =
-    C(size - t, h) / C(size, h), bisected in log space: O(log size)."""
+    C(size - t, h) / C(size, h), bisected in log space: O(log size).
+    ``log_factorials[k]`` is ``math.lgamma(k + 1)``, for k up to size."""
     if h == 1:
         return int(u * size) + 1
     log_v = math.log1p(-u)
-    lgamma = math.lgamma
-    log_norm = lgamma(size + 1) - lgamma(size - h + 1)
+    log_norm = log_factorials[size] - log_factorials[size - h]
     lo, hi = 0, size - h + 1  # P(min > lo) >= 1 - u > P(min > hi) = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if lgamma(size - mid + 1) - lgamma(size - mid - h + 1) - log_norm < log_v:
+        if log_factorials[size - mid] - log_factorials[size - mid - h] - log_norm < log_v:
             hi = mid
         else:
             lo = mid
@@ -365,6 +365,9 @@ class _Levels:
             cfg.kind is AlgorithmKind.MU_PLUS_LAMBDA_EA and not self.uniform and any(self.tied)
         )
         self.start = flip_count_pmf_table(spec.n, 0.5)[self.rank]
+        # For _first_of, up to the larger batch size.
+        batch = max(cfg.initial_population, cfg.lam)
+        self.log_factorials = [math.lgamma(k + 1) for k in range(batch + 1)]
         self.offspring = functools.lru_cache(maxsize=_OFFSPRING_ENTRIES)(self._offspring)
 
     def _offspring(self, parents: tuple[tuple[int, int], ...]) -> tuple[list[int], np.ndarray]:
@@ -402,23 +405,24 @@ class _Levels:
     def best(self, batch: dict) -> float:
         return self.values[min(batch)]
 
-    def _at_least(self, counts: dict, value: float) -> int:
-        """The number of individuals of fitness at least ``value``."""
-        return sum(count for pos, count in counts.items() if self.values[pos] >= value)
-
     def first_indices(self, batch, value, target, rng):
         # In a uniform arrangement of the batch, the individuals at least
         # as good as `value` take a uniform h-subset of the positions, and
         # the others that reach the target a uniform subset of the rest.
-        size = sum(batch.values())
-        h = self._at_least(batch, value)
-        first = _first_of(h, size, rng.random())
+        size = h = others = 0
+        values = self.values
+        for pos, count in batch.items():
+            size += count
+            if values[pos] >= value:
+                h += count
+            elif values[pos] >= target:
+                others += count
+        first = _first_of(h, size, rng.random(), self.log_factorials)
         if value < target:
             return first, None
-        others = self._at_least(batch, target) - h
         if others == 0:
             return first, first
-        return first, min(first, _first_of(others, size - h, rng.random()))
+        return first, min(first, _first_of(others, size - h, rng.random(), self.log_factorials))
 
     def _pick(self, counts: dict, rng: np.random.Generator) -> int:
         """Rank position of a uniformly chosen individual of the best class."""

@@ -690,7 +690,7 @@ def cmd_run(args) -> int:
     batch, rows, record = _run_point(cfg, build_experiment(cfg), workers)
     summary = {"schema_version": cfg["schema_version"], "config": cfg, **record}
     write_json_atomic(os.path.join(args.out, "summary.json"), summary)
-    write_atomic(os.path.join(args.out, "samples.csv"), empirics.samples_csv(batch.records))
+    write_atomic(os.path.join(args.out, "samples.csv"), empirics.samples_csv(batch))
     write_atomic(os.path.join(args.out, "comparison.csv"), comparison_csv(rows))
 
     if not args.quiet:

@@ -134,6 +134,9 @@ class _StreamKey(ISeedSequence):
         return self.key
 
 
+_setattr = object.__setattr__  # sets a field of a frozen dataclass
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Identifier of an independent random stream.
@@ -157,11 +160,15 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
 
-    def __post_init__(self) -> None:
-        if operator.index(self.master_seed) < 0:
+    # Written out, where the dataclass would generate it and call a
+    # __post_init__: a batch builds one stream per run, and this is faster.
+    def __init__(self, master_seed: int, stream_index: int = 0) -> None:
+        if operator.index(master_seed) < 0:
             raise DomainError("master_seed must be non-negative")
-        if operator.index(self.stream_index) < 0:
+        if operator.index(stream_index) < 0:
             raise DomainError("stream_index must be non-negative")
+        _setattr(self, "master_seed", master_seed)
+        _setattr(self, "stream_index", stream_index)
 
     def generator(self) -> np.random.Generator:
         block, row = divmod(self.stream_index, _KEY_BLOCK)

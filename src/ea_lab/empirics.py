@@ -3,8 +3,11 @@ empirical drift estimation, and theorem-vs-experiment comparison tables.
 
 Runs are keyed by their stream index ``(master_seed, run_index)``, so a
 batch produces identical results whatever the worker count or execution
-order; raw samples are written as ``samples.csv`` in a fixed format,
-whose bytes the tests pin.
+order.  A batch is kept as columns in run order (evaluations, success,
+best fitness), from the worker loop to the written files: workers send
+back three lists, not a Python object per run.  Raw samples are written
+from those columns as ``samples.csv`` in a fixed format, whose bytes the
+tests pin.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 # np.quantile and np.unique test for masked arrays, and recent numpy imports
@@ -32,10 +35,10 @@ _Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 # jump-chain run costs about _JUMP_RUN_S plus _JUMP_RUN_S_PER_BIT per bit
 # (least-squares fit of the relative error over RLS and the (1+1) EA on
 # OneMax, n = 10..3000, in-process batches with the chain tables built;
-# 2-CPU Xeon VM); a batch of them estimated below POOL_MIN_BATCH_S runs in
-# this process whatever the worker count, since a pool would make it
-# slower and its wall time less steady.
-_JUMP_RUN_S = 15e-6
+# 2-CPU Xeon VM, whose speed varies by half between fits); a batch of them
+# estimated below POOL_MIN_BATCH_S runs in this process whatever the worker
+# count, since a pool would make it slower and its wall time less steady.
+_JUMP_RUN_S = 13.5e-6
 _JUMP_RUN_S_PER_BIT = 0.5e-6
 POOL_MIN_BATCH_S = 0.1
 
@@ -81,10 +84,9 @@ class RunRecord(NamedTuple):
     best_fitness: float
 
     def to_line(self) -> str:
-        return (
-            f"{self.run_id},{self.seed_stream},{self.evaluations},"
-            f"{int(self.success)},{self.best_fitness:.6f}"
-        )
+        # Any 5-tuple of these fields formats alike: ``samples_csv`` formats
+        # plain row tuples.
+        return "%d,%d,%d,%d,%.6f" % self
 
 
 @dataclass
@@ -123,9 +125,10 @@ def wilson_interval(hits: int, total: int, z: float = _Z95):
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def summarize(records: list[RunRecord], budget: int) -> RuntimeSummary:
-    runs = len(records)
-    hits = np.sort(np.array([r.evaluations for r in records if r.success], dtype=float))
+def summarize(evaluations: Sequence[int], success: Sequence[bool], budget: int) -> RuntimeSummary:
+    """Statistics of a batch from its evaluations and success columns."""
+    runs = len(evaluations)
+    hits = np.sort(np.asarray(evaluations, dtype=float)[np.asarray(success, dtype=bool)])
     successes = hits.size
     censored = runs - successes
 
@@ -164,42 +167,48 @@ def summarize(records: list[RunRecord], budget: int) -> RuntimeSummary:
 # Batch execution
 
 
-def _run_one(exp: Experiment, run_id: int, record_transitions: bool):
-    trace = run_algorithm(
-        exp.function,
-        exp.algorithm,
-        exp.budget,
-        RngStream(exp.master_seed, run_id).generator(),
-        start_zeros=exp.start.fixed_zeros,
-        target_fitness=exp.target_fitness,
-        record_transitions=record_transitions,
-    )
-    hit = trace.hit_time
-    # Positional: a NamedTuple builds faster without keywords.
-    record = RunRecord(
-        run_id, run_id, trace.evaluations if hit is None else hit, hit is not None,
-        trace.best_fitness,
-    )
-    return record, trace.level_transitions
-
-
 def _run_chunk(args):
+    """Runs ``lo..hi-1`` of the experiment, as the columns of
+    ``BatchResult`` and the summed level transitions."""
     exp, lo, hi, record_transitions = args
-    records = []
+    function, algorithm, budget, seed = exp.function, exp.algorithm, exp.budget, exp.master_seed
+    start, target = exp.start.fixed_zeros, exp.target_fitness
+    evaluations, success, best_fitness = [], [], []
     transitions = None
     for run_id in range(lo, hi):
-        rec, trans = _run_one(exp, run_id, record_transitions)
-        records.append(rec)
-        if trans is not None:
+        trace = run_algorithm(function, algorithm, budget, RngStream(seed, run_id).generator(),
+                              start, target, record_transitions)
+        hit = trace.hit_time
+        evaluations.append(trace.evaluations if hit is None else hit)
+        success.append(hit is not None)
+        best_fitness.append(trace.best_fitness)
+        if record_transitions:
+            trans = trace.level_transitions
             transitions = trans if transitions is None else transitions + trans
-    return records, transitions
+    return evaluations, success, best_fitness, transitions
 
 
 @dataclass
 class BatchResult:
+    """A batch's runs as columns in run order.  Run i, on stream
+    ``(master_seed, i)``, took ``evaluations[i]`` evaluations: its hit time
+    if ``success[i]``, else the budget it used.  ``best_fitness[i]`` is the
+    best fitness it evaluated."""
+
     summary: RuntimeSummary
-    records: list[RunRecord]
+    evaluations: list[int]
+    success: list[bool]
+    best_fitness: list[float]
     transitions: np.ndarray | None = None
+
+    def rows(self):
+        """The fields of each ``RunRecord``, as plain tuples in run order."""
+        ids = range(len(self.evaluations))
+        return zip(ids, ids, self.evaluations, self.success, self.best_fitness)
+
+    @property
+    def records(self) -> list[RunRecord]:
+        return list(map(RunRecord._make, self.rows()))
 
 
 def _pool_pays(exp: Experiment) -> bool:
@@ -238,22 +247,23 @@ def run_batch(
             results = list(pool.map(_run_chunk, chunk_args))
 
     # The chunks hold ascending run ids, and pool.map keeps their order.
-    records: list[RunRecord] = []
+    evaluations, success, best_fitness = [], [], []
     transitions = None
-    for recs, trans in results:
-        records.extend(recs)
+    for evals, ok, best, trans in results:
+        evaluations += evals
+        success += ok
+        best_fitness += best
         if trans is not None:
             transitions = trans if transitions is None else transitions + trans
     return BatchResult(
-        summary=summarize(records, exp.budget.max_evaluations),
-        records=records,
-        transitions=transitions,
+        summarize(evaluations, success, exp.budget.max_evaluations),
+        evaluations, success, best_fitness, transitions,
     )
 
 
-def samples_csv(records: list[RunRecord]) -> str:
-    """The text of ``samples.csv``: the header, then one line per record."""
-    return "\n".join([SAMPLE_HEADER] + [rec.to_line() for rec in records]) + "\n"
+def samples_csv(batch: BatchResult) -> str:
+    """The text of ``samples.csv``: the header, then one line per run."""
+    return "\n".join([SAMPLE_HEADER, *map(RunRecord.to_line, batch.rows())]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -768,10 +768,64 @@ def test_first_of_inverts_the_minimum_of_a_uniform_subset(h, size):
     # Over a stratified grid of uniforms, the share mapped to each t is the
     # exact probability C(size - t, h - 1) / C(size, h), to grid precision.
     grid = 20_000
-    draws = [_first_of(h, size, (i + 0.5) / grid) for i in range(grid)]
+    table = [math.lgamma(k + 1) for k in range(size + 1)]
+    draws = [_first_of(h, size, (i + 0.5) / grid, table) for i in range(grid)]
     counts = np.bincount(draws, minlength=size + 1)[1:] / grid
     exact = [math.comb(size - t, h - 1) / math.comb(size, h) for t in range(1, size + 1)]
     assert np.abs(counts - exact).max() <= 2 / grid
+
+
+def _lgamma_first_of(h, size, u):
+    # _first_of as it was, with two math.lgamma calls per bisection step.
+    if h == 1:
+        return int(u * size) + 1
+    log_v = math.log1p(-u)
+    log_norm = math.lgamma(size + 1) - math.lgamma(size - h + 1)
+    lo, hi = 0, size - h + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.lgamma(size - mid + 1) - math.lgamma(size - mid - h + 1) - log_norm < log_v:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _reference_first_indices(values, batch, value, target, rng):
+    # _Levels.first_indices as it was: a pass over the batch per count.
+    def at_least(v):
+        return sum(c for pos, c in batch.items() if values[pos] >= v)
+
+    size, h = sum(batch.values()), at_least(value)
+    first = _lgamma_first_of(h, size, rng.random())
+    if value < target:
+        return first, None
+    others = at_least(target) - h
+    if others == 0:
+        return first, first
+    return first, min(first, _lgamma_first_of(others, size - h, rng.random()))
+
+
+def test_first_indices_draws_as_with_lgamma_calls():
+    # The log-factorial table holds the values the bisection used to compute
+    # with math.lgamma, so every draw is the same.  A plateau ties levels, so
+    # several positions can reach the value or the target.
+    spec = plateau_function(30, 6, 10)
+    cfg = AlgorithmConfig(AlgorithmKind.MU_COMMA_LAMBDA_EA, MutationParams(30), mu=4, lam=32)
+    rep = _Levels(spec, cfg)
+    gen = np.random.default_rng(36)
+    for _ in range(2000):
+        size = int(gen.integers(1, cfg.lam + 1))
+        positions = gen.choice(len(rep.values), 8, replace=False).tolist()
+        counts = gen.multinomial(size, np.full(8, 1 / 8)).tolist()
+        batch = {pos: c for pos, c in zip(positions, counts) if c}
+        value = rep.best(batch)
+        target = rep.values[int(gen.integers(len(rep.values)))]
+        seed = int(gen.integers(2**32))
+        got = rep.first_indices(batch, value, target, np.random.default_rng(seed))
+        want = _reference_first_indices(rep.values, batch, value, target,
+                                        np.random.default_rng(seed))
+        assert got == want
 
 
 @pytest.mark.parametrize(

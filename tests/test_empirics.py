@@ -17,6 +17,7 @@ from ea_lab.algorithms import (
 from ea_lab.bounds import BoundReport, Direction
 from ea_lab.core import (
     DomainError,
+    FitnessFunction,
     MutationParams,
     RngStream,
     linear_function,
@@ -25,6 +26,7 @@ from ea_lab.core import (
 )
 from ea_lab.empirics import (
     Experiment,
+    SAMPLE_HEADER,
     RunRecord,
     StartPolicy,
     compare,
@@ -65,9 +67,7 @@ def test_wilson_interval_contains_point_estimate():
 
 
 def test_summarize_counts_and_quantiles():
-    records = [RunRecord(i, i, t, True, 10.0) for i, t in enumerate([5, 1, 3, 9, 7])]
-    records.append(RunRecord(5, 5, 100, False, 8.0))
-    s = summarize(records, budget=100)
+    s = summarize([5, 1, 3, 9, 7, 100], [True] * 5 + [False], budget=100)
     assert s.runs == 6 and s.successes == 5 and s.censored == 1
     assert s.mean == pytest.approx(5.0)
     assert s.median == 5.0
@@ -76,8 +76,7 @@ def test_summarize_counts_and_quantiles():
 
 
 def test_summarize_all_censored():
-    records = [RunRecord(i, i, 50, False, 1.0) for i in range(4)]
-    s = summarize(records, budget=50)
+    s = summarize([50] * 4, [False] * 4, budget=50)
     assert s.mean is None and s.successes == 0
     assert np.all(s.curve_p == 0.0)
 
@@ -181,12 +180,20 @@ _POPULATION = Experiment(
 )
 _BITS = Experiment(linear_function([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]), rls_config(10), 30, 11,
                    Budget(10_000))
+# Real weights, some negative, a target below the optimum and a tiny budget:
+# censored runs, and best fitness values that are negative, large and not
+# integers.
+_CENSORED = Experiment(
+    FitnessFunction(np.array([-2.5, -1.25, 1e9 + 0.375, 0.3, -3.75, 1e-3, 12.125, -5.5])),
+    one_plus_one_config(8), 60, 3, Budget(6), target_fitness=1e9,
+)
 
 
 @pytest.mark.parametrize(
     "exp, indices",
-    [(_LEVEL, [0, 1, 1023, 1024, 1029]), (_POPULATION, [0, 1, 29]), (_BITS, [0, 1, 29])],
-    ids=["level", "population-levels", "bits"],
+    [(_LEVEL, [0, 1, 1023, 1024, 1029]), (_POPULATION, [0, 1, 29]), (_BITS, [0, 1, 29]),
+     (_CENSORED, [0, 1, 2, 4, 59])],
+    ids=["level", "population-levels", "bits", "bits-censored"],
 )
 def test_each_record_is_the_run_of_its_stream(monkeypatch, exp, indices):
     # The promise behind the seed_stream column: run i of a batch, at any
@@ -201,6 +208,23 @@ def test_each_record_is_the_run_of_its_stream(monkeypatch, exp, indices):
         hit = trace.hit_time
         assert records[i] == RunRecord(i, i, trace.evaluations if hit is None else hit,
                                        hit is not None, trace.best_fitness)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_samples_csv_is_a_line_per_record(monkeypatch, workers):
+    # samples.csv is written from the batch's columns, and its bytes are
+    # those of the records.
+    started = _count_pools(monkeypatch, ProcessPoolExecutor)
+    batch = run_batch(_CENSORED, workers=workers)
+    assert started == ([2] if workers == 2 else [])
+    records = batch.records
+    assert samples_csv(batch) == "\n".join(
+        [SAMPLE_HEADER] + [r.to_line() for r in records]) + "\n"
+    assert [r.evaluations for r in records] == batch.evaluations
+    assert not all(batch.success) and any(batch.success)
+    assert min(batch.best_fitness) < 0 < 1e9 < max(batch.best_fitness)
+    assert any(b != int(b) for b in batch.best_fitness)
+    assert records == run_batch(_CENSORED, workers=1).records
 
 
 def test_mean_ci_present_for_large_batches():
@@ -272,7 +296,7 @@ def test_drift_estimation_needs_unitation():
 
 
 def test_compare_directions():
-    s = summarize([RunRecord(i, i, 10, True, 1.0) for i in range(10)], budget=100)
+    s = summarize([10] * 10, [True] * 10, budget=100)
     good_upper = BoundReport("u", True, Direction.UPPER_ON_E, bound_value=50.0)
     bad_lower = BoundReport("l", True, Direction.LOWER_ON_E, bound_value=40.0)
     tail = BoundReport("t", True, Direction.TAIL_UPPER, bound_value=0.2)
@@ -291,8 +315,7 @@ def test_compare_directions():
 
 
 def test_compare_uses_stderr_slack_without_oracle():
-    records = [RunRecord(i, i, t, True, 1.0) for i, t in enumerate([9, 10, 11, 10])]
-    s = summarize(records, budget=100)
+    s = summarize([9, 10, 11, 10], [True] * 4, budget=100)
     tight = BoundReport("u", True, Direction.UPPER_ON_E, bound_value=s.mean - 0.1)
     rows = compare(s, [tight], oracle_value=None)
     # Within 3 standard errors the bound is still accepted.
@@ -300,8 +323,7 @@ def test_compare_uses_stderr_slack_without_oracle():
 
 
 def test_compare_lower_bound_gets_the_stderr_allowance():
-    records = [RunRecord(i, i, t, True, 1.0) for i, t in enumerate([9, 10, 11, 10])]
-    s = summarize(records, budget=100)
+    s = summarize([9, 10, 11, 10], [True] * 4, budget=100)
     allowance = 3.0 * s.stderr
     inside = BoundReport("in", True, Direction.LOWER_ON_E,
                          bound_value=s.mean + 0.99 * allowance)
@@ -314,7 +336,7 @@ def test_compare_lower_bound_gets_the_stderr_allowance():
 
 
 def test_compare_gives_no_verdict_without_oracle_or_hits():
-    s = summarize([RunRecord(i, i, 100, False, 3.0) for i in range(5)], budget=100)
+    s = summarize([100] * 5, [False] * 5, budget=100)
     upper = BoundReport("u", True, Direction.UPPER_ON_E, bound_value=50.0)
     lower = BoundReport("l", True, Direction.LOWER_ON_E, bound_value=40.0)
     rows = compare(s, [upper, lower], oracle_value=None)
