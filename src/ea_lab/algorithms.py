@@ -39,6 +39,7 @@ from .core import (
     MutationParams,
     OneBitFlip,
     UnitationSpec,
+    fitness_classes,
     flip_count_pmf_table,
 )
 from .oracle import move_table
@@ -351,16 +352,15 @@ class _Levels:
     def __init__(self, spec: UnitationSpec, cfg: AlgorithmConfig):
         self.mutation, self.mu, self.lam = cfg.mutation, cfg.mu, cfg.lam
         self.uniform = cfg.tie_break is TieBreak.UNIFORM_RANDOM
-        self.rank = np.argsort(-spec.value_table, kind="stable")
+        classes = fitness_classes(spec.value_table)
+        self.rank = np.concatenate(classes)
         self.position = np.argsort(self.rank)
-        values = spec.value_table[self.rank]
-        self.values = values.tolist()
-        new = np.r_[True, values[1:] != values[:-1]]
-        starts = np.flatnonzero(new)
-        ends = np.r_[starts[1:], values.size]
-        cls = np.cumsum(new) - 1
-        self.cls_start, self.cls_end = starts[cls].tolist(), ends[cls].tolist()
-        self.tied = ((ends - starts)[cls] > 1).tolist()
+        self.values = spec.value_table[self.rank].tolist()
+        sizes = [len(c) for c in classes]
+        ends = np.cumsum(sizes)
+        self.cls_start = np.repeat(ends - sizes, sizes).tolist()
+        self.cls_end = np.repeat(ends, sizes).tolist()
+        self.tied = np.repeat(np.array(sizes) > 1, sizes).tolist()
         self.keep_order = (
             cfg.kind is AlgorithmKind.MU_PLUS_LAMBDA_EA and not self.uniform and any(self.tied)
         )

@@ -318,10 +318,11 @@ class BoundContext:
         return uses_jump_chain(self.experiment.function, self.algorithm)
 
     @functools.cached_property
-    def chain(self) -> oracle.LevelChain:
-        """The point's exact level chain, built on first use and shared by
-        the oracle and the exact fitness-level bounds.  A point without one,
-        or with one too large to build, is a configuration error."""
+    def chain(self) -> oracle.MoveTable:
+        """The point's exact level chain, the process's move table with
+        every level tabled, built on first use and shared by the oracle and
+        the exact fitness-level bounds.  A point without one, or with one
+        too large to build, is a configuration error."""
         if not self.has_chain:
             raise ConfigError("the exact level chain needs RLS or the (1+1) EA on a "
                               "unitation function")
@@ -357,7 +358,7 @@ def compute_oracle(ctx: BoundContext) -> dict:
     target = None if target_fitness is None else chain.value_table >= target_fitness
     gens = oracle.exact_expected_hitting_time(chain, ctx.start, target)
     return {
-        "kind": chain.kind,
+        "kind": ctx.algorithm.kind.value,
         "expected_generations": gens,
         "expected_evaluations": gens + 1.0,
     }
@@ -660,7 +661,10 @@ def _prepare(args) -> tuple[dict, int]:
     if args.threads < 0:
         raise ConfigError("--threads must be non-negative")
     workers = args.threads or os.cpu_count() or 1
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file, or a path under one
+        raise ConfigError(f"--out {args.out}: cannot make the directory: {exc.strerror}") from exc
     return cfg, workers
 
 

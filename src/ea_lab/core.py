@@ -571,6 +571,15 @@ def build_value_table(spec: UnitationSpec) -> np.ndarray:
     return table
 
 
+def fitness_classes(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Levels grouped by fitness value: one ascending tuple of levels per
+    distinct value of ``values``, the best value first."""
+    order = np.argsort(-values, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(values[order])) + 1).tolist(), values.size]
+    order = order.tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
 # Common named functions ----------------------------------------------------
 
 

@@ -132,9 +132,8 @@ def summarize(evaluations: Sequence[int], success: Sequence[bool], budget: int) 
     successes = hits.size
     censored = runs - successes
 
-    curve_t = np.unique(
-        np.round(np.logspace(0, math.log10(max(budget, 2)), 50)).astype(int)
-    ).astype(float)
+    # Rounded in float: a budget may exceed the int64 range.
+    curve_t = np.unique(np.round(np.logspace(0, math.log10(max(budget, 2)), 50)))
     curve_p = np.searchsorted(hits, curve_t, side="right") / runs
 
     if successes == 0:

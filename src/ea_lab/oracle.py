@@ -8,17 +8,19 @@ hitting times, success probabilities and exact drift values computed
 here are the ground truth that both the closed-form bounds and the
 Monte Carlo estimates are checked against.
 
-The chain is banded: a :class:`MoveTable` lists each level's accepted
-moves, read from the ``kernel_row`` of the mutation operator
+The chain is banded, and it is a :class:`MoveTable`: the accepted moves
+of each level, read from the ``kernel_row`` of the mutation operator
 (:class:`~ea_lab.core.OneBitFlip` for RLS,
-:class:`~ea_lab.core.MutationParams` for the (1+1) EA), and the
-jump-chain sampler of :mod:`ea_lab.algorithms` reads the same table.  It
+:class:`~ea_lab.core.MutationParams` for the (1+1) EA).  The jump-chain
+sampler of :mod:`ea_lab.algorithms` reads the same table, level by level
+as its runs reach them; :func:`build_level_chain` tables every level.  It
 costs O(n w) for rows of w entries (a few hundred for standard bit
 mutation at chi = 1, two for RLS).
 
 Selection is elitist, so the chain never moves to a level of lower
 fitness and the hitting-time system is block-triangular in fitness
-order.  It is solved one fitness class at a time, best class first: one
+order.  It is solved one fitness class
+(:func:`~ea_lab.core.fitness_classes`) at a time, best class first: one
 division by s for a class of one level (accurate even where the self-loop
 rounds to 1), and one state-reduction pass over its band for a plateau.
 """
@@ -33,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    DomainError, Mutation, MutationParams, OneBitFlip, UnitationSpec, flip_count_pmf_table
+    DomainError, Mutation, MutationParams, OneBitFlip, UnitationSpec, fitness_classes,
+    flip_count_pmf_table
 )
 
 # An exact chain's cost, estimated before it is built.  Its rows take
@@ -63,14 +66,18 @@ class Moves(NamedTuple):
 
 
 class MoveTable:
-    """The accepted moves of RLS or the (1+1) EA on ``spec`` under
-    ``mutation``, offspring at least as fit as the parent: ``level(z)``
-    tables the :class:`Moves` of level ``z`` on first request, and
-    ``jump(z)`` the sampler's view of them, kept in ``jumps``."""
+    """The exact level chain of RLS or the (1+1) EA on ``spec`` under
+    ``mutation``, whose accepted offspring are those at least as fit as
+    the parent: ``level(z)`` tables the :class:`Moves` of level ``z`` on
+    first request, and ``jump(z)`` the sampler's view of them, kept in
+    ``jumps``.  ``classes`` are the levels' fitness classes, best first,
+    and ``absorbing`` masks the optimum, the level without moves."""
 
     def __init__(self, spec: UnitationSpec, mutation: Mutation):
-        self.table, self.mutation = spec.value_table, mutation
+        self.n, self.value_table, self.mutation = spec.n, spec.value_table, mutation
         self.values = spec.value_table.tolist()
+        self.classes = fitness_classes(spec.value_table)
+        self.absorbing = spec.value_table == spec.value_table.max()
         self.levels: dict[int, Moves] = {}
         self.jumps: dict[int, tuple] = {}
 
@@ -78,7 +85,7 @@ class MoveTable:
         moves = self.levels.get(z)
         if moves is None:
             lo, probs = self.mutation.kernel_row(z)
-            accepted = self.table[lo : lo + probs.size] >= self.values[z]
+            accepted = self.value_table[lo : lo + probs.size] >= self.values[z]
             if lo <= z < lo + probs.size:
                 accepted[z - lo] = False
             dests = accepted.nonzero()[0]
@@ -128,19 +135,6 @@ def move_table(spec: UnitationSpec, mutation: Mutation) -> MoveTable:
     return table
 
 
-@dataclass(frozen=True)
-class LevelChain:
-    """Absorbing Markov chain over zeros-count levels: ``moves[z]`` are
-    the accepted moves out of level ``z``.  The absorbing level, the
-    optimum, has none."""
-
-    n: int
-    kind: str  # "RLS" or "OnePlusOneEA"
-    value_table: np.ndarray
-    moves: tuple[Moves, ...]
-    absorbing: np.ndarray  # boolean mask over levels
-
-
 _DEFAULT_MUTATION = {"RLS": OneBitFlip, "OnePlusOneEA": MutationParams}
 ChainCost = NamedTuple("ChainCost", [("nbytes", float), ("work", float)])
 
@@ -155,8 +149,7 @@ def chain_cost(spec: UnitationSpec, mutation: Mutation) -> ChainCost:
         # one-bits, each range at most that of all n bits.
         width = min(2 * np.count_nonzero(flip_count_pmf_table(n, mutation.rate)), n + 1)
     # Only the classes below the optimum are solved; a move spans less than a row.
-    values = spec.value_table
-    sizes = np.unique(values[values < values.max()], return_counts=True)[1].astype(float)
+    sizes = np.array([len(c) for c in fitness_classes(spec.value_table)[1:]], dtype=float)
     spans = np.minimum(sizes - 1, width - 1)
     band = float((sizes * (2 * spans + 1)).max(initial=0))
     plateaus = float(sizes @ (spans**2 + _PLATEAU_LEVEL_WORK * (sizes > 1)))
@@ -164,11 +157,12 @@ def chain_cost(spec: UnitationSpec, mutation: Mutation) -> ChainCost:
                      (n + 1) * (_LEVEL_WORK + _ENTRY_WORK * width) + plateaus)
 
 
-def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None = None) -> LevelChain:
+def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None = None) -> MoveTable:
     """Exact level chain for RLS or the (1+1) EA on ``spec`` under
-    ``mutation``, by default the kind's operator at chi = 1: every level
-    of its :class:`MoveTable`.  A chain whose :func:`chain_cost` exceeds
-    ``CHAIN_BYTES`` in bytes is refused before anything is allocated.
+    ``mutation``, by default the kind's operator at chi = 1: the process's
+    :func:`move_table`, with every level tabled.  A chain whose
+    :func:`chain_cost` exceeds ``CHAIN_BYTES`` in bytes is refused before
+    anything is allocated.
     """
     n = spec.n
     if kind not in _DEFAULT_MUTATION:
@@ -184,9 +178,9 @@ def build_level_chain(spec: UnitationSpec, kind: str, mutation: Mutation | None 
         raise DomainError(f"the exact level chain at n = {n} needs about {size / 1e9:.3g} GB; "
                           f"it is built up to {CHAIN_BYTES / 1e9:.3g} GB only")
     table = move_table(spec, mutation)
-    return LevelChain(n=n, kind=kind, value_table=spec.value_table,
-                      moves=tuple(table.level(z) for z in range(n + 1)),
-                      absorbing=spec.value_table == spec.value_table.max())
+    for z in range(n + 1):
+        table.level(z)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +205,7 @@ def binomial_start(n: int) -> np.ndarray:
 # Exact quantities
 
 
-def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarray:
+def expected_hitting_times_to(chain: MoveTable, target: np.ndarray) -> np.ndarray:
     """Expected generations to first reach any level in ``target``
     (a boolean mask), 0 on target levels themselves.
 
@@ -232,10 +226,10 @@ def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarr
     # solved.  Levels not yet solved, and those that never reach the target,
     # hold inf, which a move to them carries over (every move has p > 0).
     t = np.where(target, 0.0, np.inf)
-    for level in reversed(_fitness_classes(chain.value_table)):
+    for level in chain.classes:
         idx = [z for z in level if not target[z]]
         if len(idx) == 1:
-            m = chain.moves[idx[0]]
+            m = chain.level(idx[0])
             if m.dests.size:
                 t[idx[0]] = (1.0 + m.probs @ t[m.dests]) / m.s
         elif idx:
@@ -243,7 +237,7 @@ def expected_hitting_times_to(chain: LevelChain, target: np.ndarray) -> np.ndarr
     return t
 
 
-def _solve_plateau(chain: LevelChain, idx: np.ndarray, t: np.ndarray) -> None:
+def _solve_plateau(chain: MoveTable, idx: np.ndarray, t: np.ndarray) -> None:
     """Solve into ``t`` the times of ``idx``, the non-target levels of one
     fitness class, by state reduction (Grassmann, Taksar & Heyman 1985).
     The last level goes first: divided by its leave mass, a sum that never
@@ -253,7 +247,7 @@ def _solve_plateau(chain: LevelChain, idx: np.ndarray, t: np.ndarray) -> None:
     c = idx.size
     at = np.full(chain.n + 1, -1)
     at[idx] = np.arange(c)
-    level_moves = [chain.moves[z] for z in idx.tolist()]
+    level_moves = [chain.level(z) for z in idx.tolist()]
     places = [at[m.dests] for m in level_moves]  # -1 outside the class
     w = max(1, *(int(np.abs(p[p >= 0] - i).max(initial=0)) for i, p in enumerate(places)))
     # Only the band |i - j| <= w is stored, the entries the pass touches:
@@ -284,7 +278,7 @@ def _solve_plateau(chain: LevelChain, idx: np.ndarray, t: np.ndarray) -> None:
     t[idx] = rhs
 
 
-def _checked_start(chain: LevelChain, start) -> np.ndarray:
+def _checked_start(chain: MoveTable, start) -> np.ndarray:
     start = np.asarray(start, dtype=float)
     if start.shape != (chain.n + 1,) or start.min() < 0 or abs(start.sum() - 1.0) > 1e-9:
         raise DomainError("start must be a distribution over levels 0..n")
@@ -292,7 +286,7 @@ def _checked_start(chain: LevelChain, start) -> np.ndarray:
 
 
 def exact_expected_hitting_time(
-    chain: LevelChain, start: np.ndarray, target: np.ndarray | None = None
+    chain: MoveTable, start: np.ndarray, target: np.ndarray | None = None
 ) -> float:
     """Start-weighted expected number of generations to absorption, or to
     the first visit of a level in ``target`` (a boolean mask) if given.
@@ -307,16 +301,17 @@ def exact_expected_hitting_time(
     return float(np.dot(start, np.where(start > 0, times, 0.0)))
 
 
-def exact_success_probability(chain: LevelChain, start: np.ndarray, t: int) -> float:
+def exact_success_probability(chain: MoveTable, start: np.ndarray, t: int) -> float:
     """Probability that the optimum has been reached within ``t`` generations."""
     if t < 0:
         raise DomainError("t must be non-negative")
     v = _checked_start(chain, start)
     # A step keeps 1 - s of each level's mass and moves the rest along its moves.
-    src = np.repeat(np.arange(chain.n + 1), [m.dests.size for m in chain.moves])
-    dests = np.concatenate([m.dests for m in chain.moves])
-    probs = np.concatenate([m.probs for m in chain.moves])
-    stay = 1.0 - np.array([m.s for m in chain.moves])
+    moves = [chain.level(z) for z in range(chain.n + 1)]
+    src = np.repeat(np.arange(chain.n + 1), [m.dests.size for m in moves])
+    dests = np.concatenate([m.dests for m in moves])
+    probs = np.concatenate([m.probs for m in moves])
+    stay = 1.0 - np.array([m.s for m in moves])
     transient = ~chain.absorbing
     for _ in range(t):
         if v[transient].sum() < 1e-300:
@@ -325,7 +320,7 @@ def exact_success_probability(chain: LevelChain, start: np.ndarray, t: int) -> f
     return float(v[chain.absorbing].sum())
 
 
-def exact_drift(chain: LevelChain, distance) -> np.ndarray:
+def exact_drift(chain: MoveTable, distance) -> np.ndarray:
     """Per-level expected one-step decrease of ``distance``.
 
     ``distance`` maps a zeros-count to a non-negative real and must be 0
@@ -337,12 +332,12 @@ def exact_drift(chain: LevelChain, distance) -> np.ndarray:
         raise DomainError("distance must vanish exactly on absorbing levels")
     drift = np.full(d.size, np.nan)
     for z in np.flatnonzero(~chain.absorbing).tolist():
-        m = chain.moves[z]
+        m = chain.level(z)
         drift[z] = float(m.probs @ (d[z] - d[m.dests]))
     return drift
 
 
-def jump_tail(chain: LevelChain, z: int, j: int) -> float:
+def jump_tail(chain: MoveTable, z: int, j: int) -> float:
     """P(|level change| >= j) under the accepted transition kernel at ``z``."""
     if not 0 <= z <= chain.n:
         raise DomainError("zeros-count out of range")
@@ -350,7 +345,7 @@ def jump_tail(chain: LevelChain, z: int, j: int) -> float:
         raise DomainError("j must be non-negative")
     if j == 0:
         return 1.0
-    m = chain.moves[z]
+    m = chain.level(z)
     return float(m.probs[np.abs(m.dests - z) >= j].sum())
 
 
@@ -374,23 +369,14 @@ class FitnessLevelData:
     s_max: np.ndarray
 
 
-def _fitness_classes(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Levels grouped by fitness value: one ascending tuple of levels per
-    distinct value of ``values``, in increasing order of value."""
-    order = np.argsort(values, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(values[order])) + 1).tolist(), values.size]
-    order = order.tolist()
-    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
-
-
-def fitness_level_data(chain: LevelChain) -> FitnessLevelData:
+def fitness_level_data(chain: MoveTable) -> FitnessLevelData:
     values = chain.value_table
-    levels = _fitness_classes(values)
+    levels = chain.classes[::-1]
     s_min = np.empty(len(levels) - 1)
     s_max = np.empty(len(levels) - 1)
     for i, level in enumerate(levels[:-1]):
         # The probability of moving to a level of strictly better fitness.
-        moves = [chain.moves[z] for z in level]
+        moves = [chain.level(z) for z in level]
         probs = [float(m.probs[values[m.dests] > values[z]].sum()) for z, m in zip(level, moves)]
         s_min[i] = min(probs)
         s_max[i] = max(probs)

@@ -204,6 +204,30 @@ def test_rls_chi_is_a_config_error(tmp_path, capsys, command, chi):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "bounds"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_is_a_clean_error(tmp_path, capsys, command, below):
+    sweep = {"sweep": {"variable": "n", "values": [6, 8]}} if command == "sweep" else {}
+    cfg = _write_config(tmp_path, **sweep)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / below if below else taken
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --out {out}: ")
+    assert captured.out == "" and taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("kind", ["RLS", "OnePlusOneEA"])
+def test_oracle_names_the_algorithm_kind(tmp_path, kind):
+    cfg = _write_config(tmp_path, algorithm={"kind": kind}, oracle=True, runs=5)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", "1",
+                 "--quiet"]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["oracle"]["kind"] == kind
+
+
 @pytest.mark.parametrize(
     "command, overrides",
     [("bounds", {"bounds": [{"id": "afl_exact_upper"}]}), ("run", {"oracle": True})],

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo experiment engine."""
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
@@ -79,6 +80,15 @@ def test_summarize_all_censored():
     s = summarize([50] * 4, [False] * 4, budget=50)
     assert s.mean is None and s.successes == 0
     assert np.all(s.curve_p == 0.0)
+
+
+def test_success_curve_reaches_budgets_beyond_int64():
+    # A censored jump-chain run can cost a budget of 10^20 evaluations.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize([10**20], [False], 10**20)
+    assert s.curve_t[0] == 1.0 and s.curve_t[-1] == 1e20
+    assert np.all(np.diff(s.curve_t) > 0)
 
 
 def test_success_curve_is_monotone():

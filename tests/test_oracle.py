@@ -19,11 +19,13 @@ from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
 from ea_lab import oracle
+from ea_lab.algorithms import AlgorithmConfig, AlgorithmKind, _Levels
 from ea_lab.core import (
     DomainError,
     MutationParams,
     OneBitFlip,
     UnitationSpec,
+    fitness_classes,
     gap,
     gap_function,
     linear,
@@ -88,8 +90,9 @@ def _reference_P(spec, mutation):
 def _dense(chain):
     """The banded chain as a dense matrix: its accepted moves, and 1 - s
     on the diagonal."""
-    P = np.diag([1.0 - m.s for m in chain.moves])
-    for z, m in enumerate(chain.moves):
+    moves = [chain.level(z) for z in range(chain.n + 1)]
+    P = np.diag([1.0 - m.s for m in moves])
+    for z, m in enumerate(moves):
         P[z, m.dests] = m.probs
     return P
 
@@ -114,7 +117,7 @@ def _dense_hitting_times(P, values, target):
     live = ~target & ~doomed
     leave = np.where(np.eye(P.shape[0], dtype=bool), 0.0, P).sum(axis=1)
     t = np.zeros(P.shape[0])
-    for level in reversed(oracle._fitness_classes(values)):
+    for level in fitness_classes(values):
         idx = [z for z in level if live[z]]
         if idx:
             block = -P[np.ix_(idx, idx)]
@@ -224,7 +227,8 @@ def test_moves_are_the_positive_off_diagonal_entries():
     assert any(not mutation.kernel_row(z)[1].all() for z in range(1001))
     chain = build_level_chain(spec, "OnePlusOneEA", mutation)
     P = _reference_P(spec, mutation)
-    for z, m in enumerate(chain.moves):
+    for z in range(spec.n + 1):
+        m = chain.level(z)
         assert set(m.dests.tolist()) == set(np.flatnonzero(P[z]).tolist()) - {z}
         assert np.array_equal(m.probs, P[z, m.dests])
         assert np.array_equal(m.cum, np.cumsum(m.probs)) and m.s == (m.cum[-1] if z else 0.0)
@@ -531,6 +535,45 @@ def test_arbitrary_fitness_classes_match_exact_rationals(spec, kind):
     chain = build_level_chain(spec, kind)
     _assert_exact(expected_hitting_times(chain),
                   _rational_hitting_times(spec, 1 if kind == "OnePlusOneEA" else None, {0}))
+
+
+@given(spec=_value_tables())
+@settings(max_examples=200, deadline=None)
+def test_fitness_classes_group_levels_by_value(spec):
+    groups = {}
+    for z, value in enumerate(spec.value_table.tolist()):
+        groups.setdefault(value, []).append(z)
+    best_first = sorted(groups, reverse=True)
+    assert fitness_classes(spec.value_table) == tuple(tuple(groups[v]) for v in best_first)
+
+
+@given(spec=_value_tables())
+@settings(max_examples=200, deadline=None)
+def test_level_populations_rank_levels_by_the_fitness_classes(spec):
+    cfg = AlgorithmConfig(AlgorithmKind.MU_COMMA_LAMBDA_EA, MutationParams(spec.n, 0.5),
+                          mu=2, lam=4)
+    rep = _Levels(spec, cfg)
+    # The rank order and class bounds by the arithmetic _Levels once did itself.
+    rank = np.argsort(-spec.value_table, kind="stable")
+    values = spec.value_table[rank]
+    new = np.r_[True, values[1:] != values[:-1]]
+    starts = np.flatnonzero(new)
+    ends = np.r_[starts[1:], values.size]
+    cls = np.cumsum(new) - 1
+    assert rep.rank.tolist() == rank.tolist() and rep.rank.dtype == rank.dtype
+    assert rep.position.tolist() == np.argsort(rank).tolist()
+    assert rep.values == values.tolist()
+    assert rep.cls_start == starts[cls].tolist() and rep.cls_end == ends[cls].tolist()
+    assert rep.tied == ((ends - starts)[cls] > 1).tolist()
+
+
+@pytest.mark.parametrize("kind, mutation", [("RLS", OneBitFlip(30)),
+                                            ("OnePlusOneEA", MutationParams(30, 2.5))])
+def test_the_level_chain_is_the_process_move_table(kind, mutation):
+    spec = gap_function(30, 3, 5)
+    chain = build_level_chain(spec, kind, mutation)
+    assert chain is oracle.move_table(spec, mutation)
+    assert sorted(chain.levels) == list(range(spec.n + 1))
 
 
 # ---------------------------------------------------------------------------
