@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -315,15 +314,6 @@ def _merged(rows: list[dict]) -> dict:
     return total
 
 
-class _LevelPop(NamedTuple):
-    """A population on levels: ``rows`` are its cohorts, youngest first,
-    each a histogram; ``top`` is the rank position of its first best
-    individual."""
-
-    rows: list[dict]
-    top: int
-
-
 class _Levels:
     """Populations of a unitation function as counts per zeros-count level.
 
@@ -340,18 +330,19 @@ class _Levels:
     several levels, the kept individuals are a multivariate hypergeometric
     draw.
 
+    A population is a list of histograms, its cohorts, youngest first.
     The (mu+lambda) EA under ``PREFER_OFFSPRING`` ranks tied individuals
     youngest first, so where a class has several levels its population
-    keeps one histogram per cohort.  The first best individual, when it
-    is drawn from a batch, gets a cohort of its own ahead of the rest of
-    the batch: it heads the rank order, so every cut of its class keeps
-    it.  Counts on levels of single-level classes go to the first
-    cohort, since their order changes nothing.
+    keeps one cohort per generation that still has survivors in such a
+    class; counts on levels of single-level classes go to the first
+    cohort, since their order changes nothing.  Every other population is
+    one cohort.  A population's level is its best level, the fewest zeros
+    among its best class.
     """
 
     def __init__(self, spec: UnitationSpec, cfg: AlgorithmConfig):
         self.mutation, self.mu, self.lam = cfg.mutation, cfg.mu, cfg.lam
-        self.uniform = cfg.tie_break is TieBreak.UNIFORM_RANDOM
+        uniform = cfg.tie_break is TieBreak.UNIFORM_RANDOM
         classes = fitness_classes(spec.value_table)
         self.rank = np.concatenate(classes)
         self.position = np.argsort(self.rank)
@@ -362,7 +353,7 @@ class _Levels:
         self.cls_end = np.repeat(ends, sizes).tolist()
         self.tied = np.repeat(np.array(sizes) > 1, sizes).tolist()
         self.keep_order = (
-            cfg.kind is AlgorithmKind.MU_PLUS_LAMBDA_EA and not self.uniform and any(self.tied)
+            cfg.kind is AlgorithmKind.MU_PLUS_LAMBDA_EA and not uniform and any(self.tied)
         )
         self.start = flip_count_pmf_table(spec.n, 0.5)[self.rank]
         # For _first_of, up to the larger batch size.
@@ -393,8 +384,8 @@ class _Levels:
         order = reached[np.argsort(-probs[reached], kind="stable")]
         return self.position[lo + order].tolist(), probs[order]
 
-    def level(self, pop: _LevelPop) -> int:
-        return int(self.rank[pop.top])
+    def level(self, rows: list[dict]) -> int:
+        return int(self.rank[min(min(row) for row in rows)])
 
     def init(self, rng: np.random.Generator, size: int, start_zeros: int | None) -> dict:
         if start_zeros is None:
@@ -424,29 +415,8 @@ class _Levels:
             return first, first
         return first, min(first, _first_of(others, size - h, rng.random(), self.log_factorials))
 
-    def _pick(self, counts: dict, rng: np.random.Generator) -> int:
-        """Rank position of a uniformly chosen individual of the best class."""
-        pos = min(counts)
-        end = self.cls_end[pos]
-        if end - self.cls_start[pos] == 1:
-            return pos
-        tied = sorted(p for p in counts if p < end)
-        cum = list(itertools.accumulate(counts[p] for p in tied))
-        return tied[bisect.bisect_right(cum, int(rng.random() * cum[-1]))]
-
-    def _pin(self, counts: dict, top: int) -> list[dict]:
-        """``counts`` as cohorts, the individual at ``top`` first."""
-        if not self.tied[top]:
-            return [counts]
-        rest = dict(counts)
-        rest[top] -= 1
-        if not rest[top]:
-            del rest[top]
-        return [{top: 1}, rest]
-
-    def populate(self, batch, rng):
-        top = self._pick(batch, rng)
-        return _LevelPop(self._pin(batch, top) if self.keep_order else [batch], top)
+    def populate(self, batch):
+        return [batch]
 
     def _truncate(self, cohorts: list[dict], rng: np.random.Generator) -> list[dict]:
         """The best mu individuals of ``cohorts``.  Where the cut falls
@@ -495,10 +465,10 @@ class _Levels:
         return kept
 
     def elite(self, pop, rng):
-        return _LevelPop(self._truncate(pop.rows, rng), pop.top)
+        return self._truncate(pop, rng)
 
     def breed(self, parents, rng):
-        dests, probs = self.offspring(tuple(sorted(_merged(parents.rows).items())))
+        dests, probs = self.offspring(tuple(sorted(_merged(parents).items())))
         off, left = {}, self.lam
         # The memoryview yields Python ints, and the loop stops at the
         # last occupied category.
@@ -511,27 +481,13 @@ class _Levels:
         return off
 
     def survivors(self, off, pop, rng):
-        rows, top = pop
-        if self.keep_order:
-            first, older = off, list(rows)
-        else:
-            first, older = _merged([off, *rows]), []
-        # The first cohort supplies a new first best individual: any tied
-        # one under UNIFORM_RANDOM, else an offspring at least as good as
-        # the current one.
-        if self.uniform or self.cls_start[min(off)] <= self.cls_start[top]:
-            top = self._pick(first, rng)
-            cohorts = self._pin(first, top) + older
-        else:
-            cohorts = [first, *older]
+        cohorts = [off, *pop] if self.keep_order else [_merged([off, *pop])]
         kept = self._truncate(cohorts, rng)
-        if not self.keep_order:
-            return _LevelPop([_merged(kept)], top)
         head = kept[0]
         for row in kept[1:]:
             for pos in [p for p in row if not self.tied[p]]:
                 head[pos] = head.get(pos, 0) + row.pop(pos)
-        return _LevelPop([row for row in kept if row], top)
+        return [row for row in kept if row]
 
 
 @functools.lru_cache(maxsize=16)
@@ -569,7 +525,7 @@ class _Bits:
         hit = int(np.argmax(fit >= target)) + 1 if value >= target else None
         return int(np.argmax(fit >= value)) + 1, hit
 
-    def populate(self, batch, rng):
+    def populate(self, batch):
         return batch
 
     def elite(self, pop, rng):
@@ -622,7 +578,7 @@ def _run_population(
     best = rep.best(batch)
     first, hit = rep.first_indices(batch, best, target, rng)
     history = [(first, best)]
-    pop = rep.populate(batch, rng)
+    pop = rep.populate(batch)
 
     while hit is None and evals + cfg.lam <= max_evals:
         off = rep.breed(rep.elite(pop, rng) if comma else pop, rng)
@@ -634,10 +590,10 @@ def _run_population(
             if first_hit is not None:
                 hit = evals + first_hit
         evals += cfg.lam
-        new = rep.populate(off, rng) if comma else rep.survivors(off, pop, rng)
+        new = rep.populate(off) if comma else rep.survivors(off, pop, rng)
         if trans is not None:
-            # Transitions are counted between the levels of successive
-            # first best individuals.
+            # Transitions are counted between the best levels of
+            # successive generations.
             trans[rep.level(pop), rep.level(new)] += 1
         pop = new
 
@@ -662,7 +618,8 @@ def run_algorithm(
     ``start_zeros`` forces the initial zeros-count (block-local
     experiments); ``target_fitness`` redefines success as reaching the
     given fitness instead of the optimum; ``record_transitions`` counts
-    level transitions, on unitation functions only.
+    level transitions, on unitation functions only: per evaluation for RLS
+    and the (1+1) EA, per generation between best levels for a population.
     """
     levels = isinstance(f, UnitationSpec)
     if record_transitions and not levels:

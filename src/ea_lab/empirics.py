@@ -71,6 +71,8 @@ class Experiment:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise DomainError("runs must be >= 1")
+        if self.master_seed < 0:
+            raise DomainError("master_seed must be non-negative")
 
 
 class RunRecord(NamedTuple):
@@ -287,7 +289,8 @@ def estimate_drift(
 ) -> DriftEstimate:
     """Empirical drift of ``distance`` (a function of the zeros-count)
     aggregated over per-generation state transitions.  For population
-    algorithms the transitions of the best individual's level are used."""
+    algorithms the transitions are between the population's best levels,
+    the fewest zeros among its best fitness class."""
     if not isinstance(exp.function, UnitationSpec):
         raise DomainError("drift estimation is defined on unitation functions")
     batch = run_batch(exp, workers=workers, record_transitions=True)

@@ -18,7 +18,6 @@ from ea_lab.algorithms import (
     TieBreak,
     _BATCH,
     _first_of,
-    _LevelPop,
     _Levels,
     _levels,
     _merged,
@@ -637,6 +636,7 @@ def _reference_population_run(spec, cfg, max_evals, rng, target, start_zeros=Non
 _PLUS = (AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 6)
 _COMMA = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 2, 12)
 _COMMA_4_32 = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 4, 32)
+_PLUS_3_1 = (AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 1)
 
 
 @pytest.mark.parametrize(
@@ -649,6 +649,8 @@ _COMMA_4_32 = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 4, 32)
         (plateau_function(12, 4, 3), _PLUS, TieBreak.PREFER_OFFSPRING, None, None),
         (plateau_function(12, 4, 3), _PLUS, TieBreak.UNIFORM_RANDOM, None, None),
         (plateau_function(12, 4, 3), _COMMA, TieBreak.PREFER_OFFSPRING, None, None),
+        # One offspring a generation: populations keep several cohorts.
+        (plateau_function(12, 4, 3), _PLUS_3_1, TieBreak.PREFER_OFFSPRING, None, None),
         # Targets below the optimum: the hit and history indices differ,
         # most often in the initial population.
         (onemax(12), _PLUS, TieBreak.PREFER_OFFSPRING, 10, 6.0),
@@ -657,13 +659,12 @@ _COMMA_4_32 = (AlgorithmKind.MU_COMMA_LAMBDA_EA, 4, 32)
         (onemax(30), _COMMA_4_32, TieBreak.PREFER_OFFSPRING, None, None),
         (plateau_function(12, 4, 3), _COMMA_4_32, TieBreak.PREFER_OFFSPRING, None, None),
         # Fewer offspring than parents.
-        (onemax(12), (AlgorithmKind.MU_PLUS_LAMBDA_EA, 3, 1), TieBreak.PREFER_OFFSPRING,
-         None, None),
+        (onemax(12), _PLUS_3_1, TieBreak.PREFER_OFFSPRING, None, None),
     ],
     ids=["plus-prefer-onemax", "plus-uniform-onemax", "comma-onemax",
          "plus-prefer-plateau", "plus-uniform-plateau", "comma-plateau",
-         "plus-prefer-target", "comma-target", "comma-4-32-onemax",
-         "comma-4-32-plateau", "plus-3-1-onemax"],
+         "plus-3-1-prefer-plateau", "plus-prefer-target", "comma-target",
+         "comma-4-32-onemax", "comma-4-32-plateau", "plus-3-1-onemax"],
 )
 def test_histogram_sampler_matches_per_offspring_reference(
     spec, algorithm, tie_break, start_zeros, target
@@ -698,11 +699,58 @@ def test_prefer_offspring_keeps_the_youngest_tied_cohorts():
     cfg = AlgorithmConfig(AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(12), mu=3, lam=1)
     rep = _levels(spec, cfg)
     at = [int(rep.position[z]) for z in (7, 6, 5, 4)]
-    pop = _LevelPop([{at[1]: 2}, {at[3]: 1}], at[1])
+    pop = [{at[1]: 2}, {at[3]: 1}]
     for seed in range(50):
         kept = rep.survivors({at[0]: 1}, pop, _rng(33, seed))
-        assert _merged(kept.rows) == {at[0]: 1, at[1]: 2}
-        assert kept.rows[0] == {at[0]: 1}  # the new first best individual leads
+        assert _merged(kept) == {at[0]: 1, at[1]: 2}
+        assert kept[0] == {at[0]: 1}  # the offspring cohort leads
+
+
+def test_population_level_is_its_best_level():
+    # Zeros-counts 7..4 are one fitness class; its rank-first level is 4.
+    spec = plateau_function(12, 4, 3)
+    cfg = AlgorithmConfig(AlgorithmKind.MU_PLUS_LAMBDA_EA, MutationParams(12), mu=3, lam=1)
+    rep = _levels(spec, cfg)
+    at = {z: int(rep.position[z]) for z in range(13)}
+    assert rep.level([{at[9]: 1, at[6]: 2}]) == 6
+    # The best individual sits in an older cohort.
+    assert rep.level([{at[9]: 1}, {at[8]: 1}, {at[5]: 1}]) == 5
+    assert rep.level([{at[7]: 2}, {at[4]: 1}]) == 4
+    assert rep.level([{at[6]: 1}, {at[3]: 1, at[10]: 1}]) == 3
+
+
+@pytest.mark.parametrize(
+    "spec, algorithm, tie_break",
+    # One offspring a generation leaves older cohorts on the plateau.
+    [(plateau_function(12, 4, 3), _PLUS_3_1, TieBreak.PREFER_OFFSPRING),
+     (plateau_function(12, 4, 3), _PLUS, TieBreak.UNIFORM_RANDOM),
+     (plateau_function(12, 4, 3), _COMMA, TieBreak.PREFER_OFFSPRING),
+     (onemax(12), _PLUS, TieBreak.PREFER_OFFSPRING)],
+    ids=["plus-3-1-prefer-plateau", "plus-uniform-plateau", "comma-plateau", "plus-onemax"],
+)
+def test_level_populations_are_nonempty_cohorts_of_mu(spec, algorithm, tie_break):
+    kind, mu, lam = algorithm
+    cfg = AlgorithmConfig(kind, MutationParams(spec.n), mu=mu, lam=lam, tie_break=tie_break)
+    rep = _Levels(spec, cfg)
+    comma = kind is AlgorithmKind.MU_COMMA_LAMBDA_EA
+
+    def check(rows):
+        assert isinstance(rows, list) and rows
+        assert all(isinstance(row, dict) and row and all(row.values()) for row in rows)
+        assert sum(sum(row.values()) for row in rows) == mu
+
+    most = 1
+    for seed in range(10):
+        rng = _rng(35, seed)
+        pop = rep.populate(rep.init(rng, cfg.initial_population, None))
+        for _ in range(40):
+            parents = rep.elite(pop, rng) if comma else pop
+            check(parents)
+            most = max(most, len(parents))
+            off = rep.breed(parents, rng)
+            assert sum(off.values()) == lam
+            pop = rep.populate(off) if comma else rep.survivors(off, pop, rng)
+    assert (most > 1) == rep.keep_order  # several cohorts only where order counts
 
 
 def _comma_levels(n):

@@ -162,6 +162,19 @@ def test_seed_flag_overrides_config(tmp_path):
     assert s1["runtime"]["mean"] != s2["runtime"]["mean"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "bounds"])
+def test_negative_seed_is_a_clean_error(tmp_path, capsys, command):
+    # The schema requires master_seed >= 0; --seed bypasses the schema.
+    sweep = {"sweep": {"variable": "n", "values": [6, 8]}} if command == "sweep" else {}
+    cfg = _write_config(tmp_path, **sweep)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", "-3",
+                 "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: master_seed must be non-negative\n"
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
 def test_unknown_bound_id_is_an_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, bounds=[{"id": "no_such_theorem"}])
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -747,7 +760,12 @@ def test_integral_float_bound_parameter_is_an_integer(tmp_path):
 # The three standard-bit-mutation bit hashes were re-recorded when flips
 # became geometric gaps instead of one uniform per bit; test_core.py checks
 # the flip distribution, and test_algorithms.py the bit path's runtime
-# distribution against the exact chain.
+# distribution against the exact chain.  The three tied-plateau population
+# hashes were recorded when a level population became its cohorts alone,
+# without a tracked first best individual drawn by a uniform of its own:
+# that changed the draws of every population run on a fitness class of
+# several levels.  The plateau cases of the distribution tests in
+# test_algorithms.py guard their distribution.
 _W = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
 _PLUS = {"kind": "MuPlusLambdaEA", "mu": 3, "lambda": 6}
 _PLUS_UNIFORM = dict(_PLUS, tie_break="UniformRandom")
@@ -755,6 +773,9 @@ _COMMA = {"kind": "MuCommaLambdaEA", "mu": 2, "lambda": 12}
 _ONEMAX = {"family": "onemax", "n": 10}
 _LINEAR = {"family": "linear", "weights": _W}
 _PLATEAU_FN = {"family": "plateau", "n": 20, "m": 4, "k": 12}
+# Uniform starts land on this plateau, zeros-counts 7..4; on _PLATEAU_FN
+# they start past it.
+_TIED_FN = {"family": "plateau", "n": 12, "m": 4, "k": 3}
 
 
 @pytest.mark.parametrize(
@@ -778,10 +799,17 @@ _PLATEAU_FN = {"family": "plateau", "n": 20, "m": 4, "k": 12}
          "54ee0e271a7e295e8822f3f4d826a48e55ab80665ffc10b41743282111540d5d"),
         (_LINEAR, {"kind": "RLS"}, None,
          "b45182f4992251e202a336eb3d75b70783ff9c51d4a07d842db4875d75edaaea"),
+        (_TIED_FN, _PLUS, None,
+         "bb35da88b6f8aea5295fbab7a4436d5ab070c419b29f9f155bb45bd4aa6c3a4c"),
+        (_TIED_FN, _PLUS_UNIFORM, None,
+         "9c054029a2be9c7abf0fc61ff3254bc1fce3d37001d5ac3dd84e8ea4b0d0e4f4"),
+        (_TIED_FN, _COMMA, None,
+         "6edf14eda9e2451a844028c4f2f924a089f5f136c83a8ad456d9400c181e34d3"),
     ],
     ids=["plus-levels-forced", "plus-uniform-levels", "comma-levels",
          "one-plus-one-bits", "plus-uniform-bits", "comma-bits-forced",
-         "rls-plateau-levels", "one-plus-one-chi-levels-forced", "rls-bits"],
+         "rls-plateau-levels", "one-plus-one-chi-levels-forced", "rls-bits",
+         "plus-tied-levels", "plus-uniform-tied-levels", "comma-tied-levels"],
 )
 def test_samples_are_pinned(tmp_path, function, algorithm, zeros, digest):
     extra = {} if zeros is None else {"start": {"policy": "FixedZeros", "zeros": zeros}}

@@ -16,8 +16,8 @@ SRC = ROOT / "src" / "ea_lab"
 AWAITING_CALLERS = {
     "estimate_drift": "item 3, per-level diagnostics in every run",
     "DriftEstimate": "item 3, per-level diagnostics in every run",
-    "additive_drift_bounds": "item 9, theorems instantiated from the exact chain",
-    "AdditiveDrift": "item 9, theorems instantiated from the exact chain",
+    "additive_drift_bounds": "item 13, theorems instantiated from the exact chain",
+    "AdditiveDrift": "item 13, theorems instantiated from the exact chain",
 }
 
 
